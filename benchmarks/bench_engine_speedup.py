@@ -1,23 +1,16 @@
 """E-A13 — engine-speedup regression: vectorized vs reference hot paths.
 
-The offline LRU engine, the vectorized stack-distance profiler, the
-bucketed FSAI setup and the kernel-backend solver hot paths all replace
-bit-exact reference implementations.  This bench times both sides of each
-pair on the campaign workload and records the result as
-``BENCH_engine.json`` at the repository root — the composite wall-time
-reduction is asserted so the optimisation cannot silently regress.
+The offline LRU engine, the vectorized stack-distance profiler and the
+kernel-backend solver hot paths all replace bit-exact reference
+implementations.  This bench times both sides of each pair on the
+campaign workload and records the result as ``BENCH_engine.json`` at the
+repository root — the composite wall-time reduction is asserted so the
+optimisation cannot silently regress.
 
 Components (each timed as min over repetitions, §7.1 style):
 
 * ``stack_distances`` — Mattson profiling of every case's SpMV trace:
   per-access Fenwick tree vs the sort/merge-count engine.
-* ``fsai_setup`` — Frobenius-minimal ``G``: per-row gather + batched solve
-  vs size-bucketed stacked gather/solve.
-* ``fsai_setup_parallel`` — the ``fsai_setup`` kernel op (packed gather,
-  identity-padded groups, batch-last fused Cholesky; numba ``prange``
-  when available) vs the bucketed LAPACK path (asserted >=
-  ``MIN_SETUP_PARALLEL_SPEEDUP``; the multi-core target is 2x, the gate
-  is set for the 2-core CI runner).
 * ``cache_replay`` — Skylake-L1 trace replay: ``OrderedDict`` walk vs the
   offline engine with lazy array-chained state.
 * ``spmv`` — CSR matvec: allocating ``bincount`` kernel vs the
@@ -55,18 +48,11 @@ Components (each timed as min over repetitions, §7.1 style):
   always timed, recorded, and marked ``informational`` so the gate
   never judges a small host's number as a regression.  The host core
   count and worker count are recorded in the component detail.
-* ``fsai_precalc_parallel`` — the ``fsai_precalc`` kernel op (§5
-  truncated CG batched over the setup op's identity-padded row-length
-  groups) vs the legacy bucketed lockstep CG, both on cache-friendly
-  extended patterns — the §5 workload the op exists for (asserted >=
-  ``MIN_PRECALC_PARALLEL_SPEEDUP``).
-* ``fsaie_filtered_setup`` — the whole §5 pipeline end to end per case:
-  cache-friendly extension -> truncated-CG precalculation -> weak-entry
-  filtering -> exact setup on the filtered pattern.  Kernel-op precalc
-  and setup vs the legacy bucketed paths; recorded ``informational``
-  (unfloored, excluded from the composite) — the pipeline shares the
-  extension and filtering cost on both sides, so its ratio is a
-  diluted view of the two gated ops.
+
+The FSAI setup and §5 precalculation components are retired
+(:data:`RETIRED_COMPONENTS`): their reference sides were the deleted
+LAPACK and lockstep-CG paths, and ``BENCHMARK.json``'s ``setup_s`` now
+times the setup end to end.
 """
 
 import os
@@ -85,13 +71,7 @@ from repro.collection.generators.fd import poisson2d
 from repro.collection.suite import get_case, suite72
 from repro.fsai.fillin import extend_pattern_cache_friendly
 from repro.fsai.filtering import filter_extension_by_precalc
-from repro.fsai.frobenius import (
-    DEFAULT_PRECALC_ITERATIONS,
-    DEFAULT_PRECALC_RTOL,
-    _precalc_bucketed,
-    compute_g,
-    precalculate_g,
-)
+from repro.fsai.frobenius import compute_g, precalculate_g
 from repro.fsai.patterns import fsai_initial_pattern
 from repro.fsai.precond import FSAIApplication
 from repro.kernels import get_backend
@@ -114,21 +94,21 @@ MIN_PCG_SPEEDUP = 2.0
 #: 32-wide block over looping the single-RHS solver, numpy backend.
 MIN_MULTI_RHS_SPEEDUP = 3.0
 
-#: ISSUE 6 acceptance floor for the ``fsai_setup`` kernel op over the
-#: bucketed LAPACK path.  The op clears 2x on a quiet multi-core host
-#: (grouped dispatch + batch-last layout alone, before numba threads);
-#: the gate is set below that so a noisy 2-core CI runner cannot flake.
-MIN_SETUP_PARALLEL_SPEEDUP = 1.3
+#: Components no longer timed, with the reason; written into the record
+#: so ``repro.perf.bench_gate`` reports them as retired, not missing.
+_LEGACY_SETUP = (
+    "reference side was a deleted legacy setup path; BENCHMARK.json "
+    "setup_s times the default setup end to end"
+)
+RETIRED_COMPONENTS = {
+    "fsai_setup": _LEGACY_SETUP,
+    "fsai_setup_parallel": _LEGACY_SETUP,
+    "fsai_precalc_parallel": _LEGACY_SETUP,
+    "fsaie_filtered_setup": _LEGACY_SETUP,
+}
 
-#: ISSUE 10 acceptance floor for the ``fsai_precalc`` kernel op over the
-#: legacy bucketed lockstep CG on cache-friendly extended patterns.  The
-#: op wins on layout (one packed gather + batch-last stacks vs per-bucket
-#: batch-first einsums) and on masking (converged systems compact out of
-#: the working set); 1.5x is measured with margin on a single core.
-MIN_PRECALC_PARALLEL_SPEEDUP = 1.5
-
-#: Filter value for the end-to-end ``fsaie_filtered_setup`` component —
-#: the middle of the paper's evaluated grid (0.0 / 0.001 / 0.01 / 0.1).
+#: Filter value for the traced §5 pass — the middle of the paper's
+#: evaluated grid (0.0 / 0.001 / 0.01 / 0.1).
 FSAIE_FILTER = 0.01
 
 #: ISSUE 8 acceptance floor: the numpy SpGEMM numeric phase over the
@@ -310,65 +290,9 @@ def test_engine_speedup(benchmark, capsys):
                 stack_distances(lines, backend=backend)
         return run
 
-    def setup(backend):
-        def run():
-            for _, a, pattern, _, _ in work:
-                compute_g(a, pattern, backend=backend)
-        return run
-
-    def setup_op():
-        backend = get_backend("auto")
-        lengths = [np.diff(pattern.indptr) for _, _, pattern, _, _ in work]
-        def run():
-            for (_, a, pattern, _, _), lens in zip(work, lengths):
-                backend.fsai_setup(a, pattern, lengths=lens)
-        return run
-
-    # §5 precalculation workload (ISSUE 10): cache-friendly extended
-    # patterns — the patterns the truncated-CG estimates exist to filter.
-    # The op side binds its backend and the validated row lengths outside
-    # the timed window, mirroring setup_op(); the reference side is the
-    # legacy bucketed lockstep-CG body the op replaces.  Every other
-    # campaign case: the per-case ratio is uniform across the suite, and
-    # the op's ~1.5x would otherwise contribute enough wall time to drag
-    # the >= 5x composite claim, which is about the order-of-magnitude
-    # engine components.
-    placement = ArrayPlacement.aligned(64)
-    precalc_work = [
-        (a, pattern, extend_pattern_cache_friendly(pattern, placement))
-        for _, a, pattern, _, _ in work[::2]
-    ]
-
-    def precalc_ref():
-        for a, _, ext in precalc_work:
-            _precalc_bucketed(
-                a, ext, DEFAULT_PRECALC_RTOL, DEFAULT_PRECALC_ITERATIONS
-            )
-
-    def precalc_op():
-        backend = get_backend("auto")
-        ext_lengths = [np.diff(ext.indptr) for _, _, ext in precalc_work]
-        def run():
-            for (a, _, ext), lens in zip(precalc_work, ext_lengths):
-                backend.fsai_precalc(
-                    a, ext, rtol=DEFAULT_PRECALC_RTOL,
-                    max_iterations=DEFAULT_PRECALC_ITERATIONS, lengths=lens,
-                )
-        return run
-
-    def fsaie_pipeline(backend):
-        # The whole §5 flow per case: extend -> precalc -> filter -> exact
-        # setup on the filtered pattern.  Both sides share the extension
-        # and filtering code; only the precalc/setup backend differs.
-        def run():
-            for _, a, pattern, _, _ in work:
-                ext = extend_pattern_cache_friendly(pattern, placement)
-                approx = precalculate_g(a, ext, backend=backend)
-                filtered = filter_extension_by_precalc(
-                    approx, pattern, FSAIE_FILTER
-                )
-                compute_g(a, filtered, backend=backend)
-        return run
+    def setup():
+        for _, a, pattern, _, _ in work:
+            compute_g(a, pattern)
 
     def replay(backend):
         def run():
@@ -500,40 +424,6 @@ def test_engine_speedup(benchmark, capsys):
         _component(
             "stack_distances", f"{len(traces)} traces, {n_accesses} accesses",
             stackdist("reference"), stackdist("vector"),
-        ),
-        _component(
-            "fsai_setup", f"{len(work)} matrices, initial FSAI pattern",
-            setup("reference"), setup("bucketed"),
-        ),
-        _component(
-            "fsai_setup_parallel",
-            f"{len(work)} matrices, grouped op, "
-            f"backend={get_backend('auto').name}, "
-            f"threads={get_backend('auto').setup_threads()}",
-            setup("bucketed"), setup_op(), repetitions=KERNEL_REPETITIONS,
-            floor=MIN_SETUP_PARALLEL_SPEEDUP,
-        ),
-        _component(
-            "fsai_precalc_parallel",
-            f"{len(precalc_work)} matrices, cache-friendly extended "
-            f"patterns, truncated CG rtol={DEFAULT_PRECALC_RTOL} x "
-            f"{DEFAULT_PRECALC_ITERATIONS} iterations, "
-            f"backend={get_backend('auto').name}, "
-            f"threads={get_backend('auto').setup_threads()}",
-            precalc_ref, precalc_op(), repetitions=KERNEL_REPETITIONS,
-            floor=MIN_PRECALC_PARALLEL_SPEEDUP,
-        ),
-        _component(
-            "fsaie_filtered_setup",
-            f"{len(work)} matrices, extend -> precalc -> "
-            f"filter({FSAIE_FILTER}) -> exact setup; kernel ops vs "
-            "legacy bucketed paths",
-            fsaie_pipeline("bucketed"), fsaie_pipeline("auto"),
-            repetitions=KERNEL_REPETITIONS,
-            # Both sides share the extension and filtering cost, so the
-            # end-to-end ratio is a diluted view of the gated ops:
-            # recorded for the trajectory, kept out of the composite.
-            informational=True,
         ),
         _component(
             "cache_replay",
@@ -726,15 +616,17 @@ def test_engine_speedup(benchmark, capsys):
     ))
 
     # One traced pass over the optimized composite: the record then carries
-    # a per-phase breakdown next to the timings (ISSUE 3 observability).
+    # a per-phase breakdown next to the timings (ISSUE 3 observability),
+    # including one §5 precalc -> filter -> exact setup on the default path.
+    _, pa, ppat, _, _ = work[0]
+    pext = extend_pattern_cache_friendly(ppat, ArrayPlacement.aligned(64))
     with trace.collecting() as collector:
         stackdist("vector")()
-        setup("bucketed")()
-        pa, ppat, pext = precalc_work[0]
+        setup()
         filtered = filter_extension_by_precalc(
-            precalculate_g(pa, pext, backend="auto"), ppat, FSAIE_FILTER
+            precalculate_g(pa, pext), ppat, FSAIE_FILTER
         )
-        compute_g(pa, filtered, backend="auto")
+        compute_g(pa, filtered)
         _, a, _, g, b = work[0]
         pcg(a, b, preconditioner=FSAIApplication(g), rtol=0.0, atol=0.0,
             max_iterations=3, record_history=False)
@@ -743,17 +635,18 @@ def test_engine_speedup(benchmark, capsys):
                   preconditioner=FSAIApplication(mg), rtol=0.0, atol=0.0,
                   max_iterations=3, record_history=False)
     record = RegressionRecord(
-        label="vectorized engine + bucketed FSAI setup + kernel backends",
+        label="vectorized engine + kernel backends",
         scope=scope_note(),
         components=components,
         trace_summary=trace.TraceSummary.from_collector(collector),
+        retired=RETIRED_COMPONENTS,
     )
     record.write(ARTIFACT)
 
     # pytest-benchmark wants one timed callable; re-time the optimized
     # composite so the bench table shows the new engine's cost.
     benchmark.pedantic(
-        lambda: (stackdist("vector")(), setup("bucketed")()),
+        lambda: (stackdist("vector")(), setup()),
         rounds=1, iterations=1,
     )
 
@@ -800,21 +693,6 @@ def test_engine_speedup(benchmark, capsys):
             f"{MIN_SERVE_MP_SPEEDUP:.1f}x at {SERVE_MP_WORKERS} workers "
             f"on {n_cores} cores — see {ARTIFACT}"
         )
-    assert (
-        by_name["fsai_setup_parallel"].speedup >= MIN_SETUP_PARALLEL_SPEEDUP
-    ), (
-        "fsai_setup_parallel speedup "
-        f"{by_name['fsai_setup_parallel'].speedup:.2f}x fell below "
-        f"{MIN_SETUP_PARALLEL_SPEEDUP:.1f}x — see {ARTIFACT}"
-    )
-    assert (
-        by_name["fsai_precalc_parallel"].speedup
-        >= MIN_PRECALC_PARALLEL_SPEEDUP
-    ), (
-        "fsai_precalc_parallel speedup "
-        f"{by_name['fsai_precalc_parallel'].speedup:.2f}x fell below "
-        f"{MIN_PRECALC_PARALLEL_SPEEDUP:.1f}x — see {ARTIFACT}"
-    )
     assert by_name["cache_replay"].speedup >= MIN_CACHE_REPLAY_SPEEDUP, (
         f"cache_replay speedup {by_name['cache_replay'].speedup:.2f}x "
         f"fell below {MIN_CACHE_REPLAY_SPEEDUP:.1f}x — see {ARTIFACT}"

@@ -85,9 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
             )
             sp.add_argument(
                 "--setup-backend", default=None, metavar="NAME",
-                help="FSAI setup backend: a kernel-registry name "
-                     "(auto/numpy/numba) or a legacy LAPACK path "
-                     "(bucketed/reference); default resolves "
+                help="FSAI setup backend, a kernel-registry name: "
+                     "auto/numpy/numba, or reference for the scalar "
+                     "oracle (slow on large cases); the removed "
+                     "bucketed path is rejected; default resolves "
                      "$REPRO_KERNEL_BACKEND, then auto",
             )
         if quick:

@@ -58,9 +58,9 @@ class ExperimentConfig:
     #: executed count per case lands in :attr:`MethodRun.sweeps`.
     global_sweeps: int = 30
     include_random_baseline: bool = False
-    #: FSAI setup backend (``None`` = resolve via ``$REPRO_KERNEL_BACKEND``,
-    #: then ``"auto"``); legacy names ``bucketed``/``reference`` select the
-    #: LAPACK paths, anything else routes through the ``fsai_setup`` op.
+    #: FSAI setup backend, a kernel-registry name (``None`` = resolve via
+    #: ``$REPRO_KERNEL_BACKEND``, then ``"auto"``); ``"reference"`` runs
+    #: the setup ops on the scalar oracle backend.
     setup_backend: Optional[str] = None
 
     def machine_model(self) -> MachineModel:

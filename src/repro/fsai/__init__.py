@@ -6,8 +6,9 @@ Modules
     Initial sparse-pattern construction (threshold + pattern power + lower
     triangle; paper Alg. 1 steps 1-2).
 ``frobenius``
-    Per-row Frobenius-minimal computation of ``G`` (exact, batched LAPACK)
-    and the loose-tolerance approximate precalculation of §5.
+    Per-row Frobenius-minimal computation of ``G`` (exact, the
+    ``fsai_setup`` kernel op) and the loose-tolerance approximate
+    precalculation of §5 (the ``fsai_precalc`` kernel op).
 ``fillin``
     The cache-friendly fill-in algorithm (paper Alg. 3 / §4).
 ``filtering``
@@ -35,10 +36,7 @@ Modules
 
 from repro.fsai.patterns import fsai_initial_pattern
 from repro.fsai.frobenius import (
-    FSAI_BACKENDS,
-    LocalSystemBucket,
     compute_g,
-    gather_local_systems_bucketed,
     precalculate_g,
     resolve_setup_backend,
     setup_flops_direct,
@@ -78,10 +76,7 @@ from repro.fsai.registry import (
 
 __all__ = [
     "fsai_initial_pattern",
-    "FSAI_BACKENDS",
-    "LocalSystemBucket",
     "compute_g",
-    "gather_local_systems_bucketed",
     "precalculate_g",
     "resolve_setup_backend",
     "setup_flops_direct",

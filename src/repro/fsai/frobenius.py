@@ -12,43 +12,39 @@ then normalise ``g_i = ĝ / sqrt(ĝ_i)`` so that ``G A G^T`` has unit
 diagonal.  ``ĝ_i = (A[S_i,S_i]^{-1})_{ii} > 0`` for SPD ``A``, so the
 normalisation is always defined.
 
-Two computation modes:
+Two computation modes, each one kernel op resolved through the kernel
+registry:
 
-* **direct** — batched dense Cholesky via LAPACK (exact; Alg. 1 step 3 and
+* **direct** — the ``fsai_setup`` op (:mod:`repro.kernels.setup`):
+  grouped, identity-padded batched Cholesky (exact; Alg. 1 step 3 and
   Alg. 2 step 5);
-* **approximate** — truncated CG at loose tolerance (the §5 precalculation
-  used only to classify entry magnitudes before filtering).
+* **approximate** — the ``fsai_precalc`` op (:mod:`repro.kernels.precalc`):
+  truncated CG at loose tolerance (the §5 precalculation used only to
+  classify entry magnitudes before filtering).
+
+Every backend returns byte-identical data; the kernel ``reference``
+backend is the scalar oracle both ops are tested against.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
 from repro import trace
-from repro._typing import FloatArray, IndexArray
-from repro.errors import NotSPDError, PatternError, ShapeError
+from repro._typing import IndexArray
+from repro.errors import PatternError, ShapeError
 from repro.kernels import ENV_VAR as KERNEL_ENV_VAR
 from repro.kernels import get_backend
 from repro.kernels.base import KernelBackend
-from repro.solvers.direct import solve_spd_batched, solve_spd_stacked
-from repro.solvers.local_cg import (
-    DEFAULT_PRECALC_ITERATIONS,
-    DEFAULT_PRECALC_RTOL,
-    solve_spd_approximate_batched,
-    solve_spd_approximate_stacked,
-)
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
 
 __all__ = [
-    "FSAI_BACKENDS",
-    "LocalSystemBucket",
-    "gather_local_systems",
-    "gather_local_systems_bucketed",
+    "DEFAULT_PRECALC_RTOL",
+    "DEFAULT_PRECALC_ITERATIONS",
     "compute_g",
     "precalculate_g",
     "resolve_setup_backend",
@@ -56,46 +52,34 @@ __all__ = [
     "setup_flops_precalc",
 ]
 
-#: Legacy ``backend=`` values for the FSAI setup: the LAPACK-backed
-#: bucketed path and the per-row reference loop.  Every other name is a
-#: kernel-registry backend and routes through the ``fsai_setup`` op.
-#: ``"reference"`` keeps its historical meaning (the per-row loop);
-#: the kernel reference backend's setup op is reachable via
-#: ``get_backend("reference").fsai_setup`` directly.
-FSAI_BACKENDS = ("bucketed", "reference")
+#: Loose §5 defaults: a handful of CG iterations at a tolerance that
+#: discriminates magnitudes, not digits.
+DEFAULT_PRECALC_RTOL = 1e-2
+DEFAULT_PRECALC_ITERATIONS = 20
 
 
-def _resolve_setup_backend(
-    backend: Optional[str],
-) -> Tuple[str, Union[str, KernelBackend]]:
-    """Resolve a setup ``backend=`` argument.
+def _resolve_setup_backend(backend: Optional[str]) -> KernelBackend:
+    """Resolve a setup ``backend=`` argument to a kernel backend.
 
     Precedence mirrors the solve side: an explicit name wins, otherwise
     ``$REPRO_KERNEL_BACKEND``, otherwise ``"auto"`` (numba when
-    installed, numpy when not).  Returns ``("legacy", name)`` for the
-    historical LAPACK paths or ``("kernel", backend_instance)`` for
-    names handled by the kernel registry; unknown names raise
+    installed, numpy when not).  Unknown names raise
     :class:`~repro.errors.ConfigurationError` from the registry.
     """
     if backend is None:
         backend = os.environ.get(KERNEL_ENV_VAR, "").strip() or "auto"
-    if backend in FSAI_BACKENDS:
-        return "legacy", backend
-    return "kernel", get_backend(backend)
+    return get_backend(backend)
 
 
 def resolve_setup_backend(backend: Optional[str] = None) -> str:
     """Concrete setup-backend name ``backend`` resolves to right now.
 
     ``None`` applies the full default chain (env var, then ``"auto"``);
-    registry names collapse to the backend actually selected (e.g.
-    ``"numba"`` without numba installed resolves to ``"numpy"``).  This
-    is the name :class:`repro.experiments.runner.CaseResult` records.
+    names collapse to the backend actually selected (e.g. ``"numba"``
+    without numba installed resolves to ``"numpy"``).  This is the name
+    :class:`repro.experiments.runner.CaseResult` records.
     """
-    _, resolved = _resolve_setup_backend(backend)
-    if isinstance(resolved, str):
-        return resolved
-    return resolved.name
+    return _resolve_setup_backend(backend).name
 
 
 def _check_pattern(a: CSRMatrix, pattern: Pattern) -> None:
@@ -107,41 +91,6 @@ def _check_pattern(a: CSRMatrix, pattern: Pattern) -> None:
         )
     if not pattern.is_lower_triangular():
         raise PatternError("FSAI pattern must be lower triangular")
-
-
-def gather_local_systems(a: CSRMatrix, pattern: Pattern):
-    """Extract the dense local systems ``(A[S_i,S_i], e_i|_{S_i})`` per row.
-
-    Returns ``(systems, rhs)`` lists aligned with row order.  The diagonal
-    position is the *last* index of each sorted lower-triangular row, which
-    is where the unit right-hand side lives.
-    """
-    systems: List[np.ndarray] = []
-    rhs: List[FloatArray] = []
-    for i in range(pattern.n_rows):
-        cols = pattern.row(i)
-        if len(cols) == 0 or cols[-1] != i:
-            raise PatternError(f"row {i} of FSAI pattern must contain the diagonal")
-        local = a.submatrix(cols, cols)
-        e = np.zeros(len(cols))
-        e[-1] = 1.0
-        systems.append(local)
-        rhs.append(e)
-    return systems, rhs
-
-
-@dataclass(frozen=True)
-class LocalSystemBucket:
-    """All local systems of one row-length class, stacked for batched LAPACK.
-
-    ``systems[j]`` is ``A[S_i, S_i]`` for ``i = rows[j]``; ``rhs[j]`` is the
-    matching ``e_i|_{S_i}`` (unit in the last, i.e. diagonal, position).
-    """
-
-    size: int
-    rows: IndexArray          # pattern rows of this bucket, ascending
-    systems: np.ndarray       # (len(rows), size, size)
-    rhs: np.ndarray           # (len(rows), size)
 
 
 def _check_diagonals(pattern: Pattern) -> IndexArray:
@@ -157,66 +106,6 @@ def _check_diagonals(pattern: Pattern) -> IndexArray:
     return lengths
 
 
-def gather_local_systems_bucketed(
-    a: CSRMatrix, pattern: Pattern
-) -> List[LocalSystemBucket]:
-    """Extract all local systems at once, bucketed by row length.
-
-    Rows of equal pattern length ``k`` share one vectorised gather: their
-    column sets stack into an ``(m, k)`` block, the ``(m, k, k)`` index grid
-    ``(S[:, :, None], S[:, None, :])`` addresses every entry of every local
-    system, and one :meth:`~repro.sparse.csr.CSRMatrix.gather_entries`
-    lookup materialises the whole bucket.  Buckets appear in
-    first-occurrence order of their size — the same order the per-row
-    gather feeds :func:`~repro.solvers.direct.solve_spd_batched` — and rows
-    ascend within each bucket, so downstream solves see byte-identical
-    stacked inputs.
-    """
-    lengths = _check_diagonals(pattern)
-    sizes, first_at = np.unique(lengths, return_index=True)
-    buckets: List[LocalSystemBucket] = []
-    for k in sizes[np.argsort(first_at)]:
-        k = int(k)
-        rows = np.flatnonzero(lengths == k)
-        starts = pattern.indptr[rows]
-        cols = pattern.indices[starts[:, None] + np.arange(k)]  # (m, k)
-        shape = (len(rows), k, k)
-        systems = a.gather_entries(
-            np.broadcast_to(cols[:, :, None], shape),
-            np.broadcast_to(cols[:, None, :], shape),
-        )
-        rhs = np.zeros((len(rows), k))
-        rhs[:, -1] = 1.0
-        buckets.append(
-            LocalSystemBucket(size=k, rows=rows, systems=systems, rhs=rhs)
-        )
-    return buckets
-
-
-def _assemble_g(pattern: Pattern, solutions: List[FloatArray]) -> CSRMatrix:
-    """Normalise per-row solutions and assemble the CSR ``G``."""
-    data = np.empty(pattern.nnz)
-    for i, sol in enumerate(solutions):
-        lo, hi = pattern.indptr[i], pattern.indptr[i + 1]
-        pivot = sol[-1]
-        if pivot <= 0 or not np.isfinite(pivot):
-            raise NotSPDError(
-                f"row {i}: non-positive diagonal solution {pivot:.3e} "
-                "(matrix restriction not SPD)"
-            )
-        data[lo:hi] = sol / np.sqrt(pivot)
-    return CSRMatrix.from_pattern(pattern, data)
-
-
-def _scatter_rows(
-    data: FloatArray, pattern: Pattern, bucket: LocalSystemBucket,
-    values: np.ndarray,
-) -> None:
-    """Write per-row value blocks of one bucket into the CSR data array."""
-    positions = pattern.indptr[bucket.rows][:, None] + np.arange(bucket.size)
-    data[positions] = values
-
-
 def compute_g(
     a: CSRMatrix, pattern: Pattern, *, backend: Optional[str] = None
 ) -> CSRMatrix:
@@ -225,86 +114,25 @@ def compute_g(
     The result satisfies ``diag(G A G^T) = 1`` exactly (up to roundoff);
     :mod:`tests.fsai` asserts this invariant.
 
-    ``backend=None`` (default) resolves through the kernel registry —
-    ``$REPRO_KERNEL_BACKEND`` when set, ``"auto"`` otherwise — and runs
-    the ``fsai_setup`` kernel op: grouped, identity-padded batched
-    Cholesky with byte-identical output across all kernel backends (see
-    :mod:`repro.kernels.setup`).  The legacy names stay available and
-    bit-for-bit unchanged: ``backend="bucketed"`` gathers and solves
-    whole row-length buckets with vectorised CSR indexing + LAPACK,
-    ``backend="reference"`` is the original per-row ``submatrix`` loop.
-    The op path and the LAPACK paths agree to solver roundoff
-    (``~1e-12`` relative), not bitwise — they factorise differently.
+    ``backend`` is a kernel-registry name; ``None`` (default) resolves
+    ``$REPRO_KERNEL_BACKEND`` when set, ``"auto"`` otherwise.  The
+    ``fsai_setup`` op runs grouped, identity-padded batched Cholesky
+    with byte-identical output on every backend (see
+    :mod:`repro.kernels.setup`).  Raises
+    :class:`~repro.errors.NotSPDError` naming the first row whose local
+    system is not SPD.
     """
     _check_pattern(a, pattern)
-    kind, resolved = _resolve_setup_backend(backend)
-    label = resolved if isinstance(resolved, str) else resolved.name
+    kb = _resolve_setup_backend(backend)
     with trace.span(
-        "fsai.frobenius", rows=pattern.n_rows, nnz=pattern.nnz, backend=label
+        "fsai.frobenius", rows=pattern.n_rows, nnz=pattern.nnz,
+        backend=kb.name, threads=kb.setup_threads(),
     ):
         if trace.enabled():
             trace.add_counter("fsai.frobenius_flops", setup_flops_direct(pattern))
-        if kind == "kernel":
-            assert isinstance(resolved, KernelBackend)
-            lengths = _check_diagonals(pattern)
-            with trace.span(
-                "fsai_setup",
-                backend=resolved.name,
-                threads=resolved.setup_threads(),
-                rows=pattern.n_rows,
-                nnz=pattern.nnz,
-                mode="direct",
-            ):
-                data = resolved.fsai_setup(a, pattern, lengths=lengths)
-            return CSRMatrix.from_pattern(pattern, data)
-        if resolved == "reference":
-            systems, rhs = gather_local_systems(a, pattern)
-            solutions = solve_spd_batched(systems, rhs)
-            return _assemble_g(pattern, solutions)
-        buckets = gather_local_systems_bucketed(a, pattern)
-        solved = [
-            (b, solve_spd_stacked(b.systems, b.rhs, system_ids=b.rows))
-            for b in buckets
-        ]
-        pivots = np.empty(pattern.n_rows)
-        for b, sol in solved:
-            pivots[b.rows] = sol[:, -1]
-        bad = ~((pivots > 0) & np.isfinite(pivots))
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise NotSPDError(
-                f"row {i}: non-positive diagonal solution {pivots[i]:.3e} "
-                "(matrix restriction not SPD)"
-            )
-        data = np.empty(pattern.nnz)
-        for b, sol in solved:
-            _scatter_rows(data, pattern, b, sol / np.sqrt(sol[:, -1])[:, None])
+        lengths = _check_diagonals(pattern)
+        data = kb.fsai_setup(a, pattern, lengths=lengths)
         return CSRMatrix.from_pattern(pattern, data)
-
-
-def _precalc_bucketed(
-    a: CSRMatrix, pattern: Pattern, rtol: float, max_iterations: int
-) -> CSRMatrix:
-    """The bucketed truncated-CG precalculation body (shared by paths)."""
-    buckets = gather_local_systems_bucketed(a, pattern)
-    diag = a.diagonal()
-    data = np.empty(pattern.nnz)
-    for b in buckets:
-        sol = solve_spd_approximate_stacked(
-            b.systems, b.rhs, rtol=rtol, max_iterations=max_iterations
-        )
-        pivot = sol[:, -1]
-        good = (pivot > 0) & np.isfinite(pivot)
-        values = np.zeros_like(sol)
-        values[good] = sol[good] / np.sqrt(pivot[good])[:, None]
-        if not good.all():
-            fb_diag = diag[b.rows[~good]]
-            fb = np.ones(len(fb_diag))
-            positive = fb_diag > 0
-            fb[positive] = 1.0 / np.sqrt(fb_diag[positive])
-            values[~good, -1] = fb
-        _scatter_rows(data, pattern, b, values)
-    return CSRMatrix.from_pattern(pattern, data)
 
 
 def precalculate_g(
@@ -322,61 +150,30 @@ def precalculate_g(
     solve produces a non-positive diagonal estimate fall back to a Jacobi
     guess (``1/sqrt(a_ii)`` on the diagonal, zeros elsewhere) — the filter
     then simply keeps that row's extension decisions conservative rather
-    than aborting setup.
+    than aborting setup.  While tracing, the fallback rows are counted as
+    ``fsai.precalc_fallback_rows``.
 
-    ``backend`` resolves exactly as in :func:`compute_g`.  Kernel-registry
-    names run the ``fsai_precalc`` kernel op — the truncated CG batched
-    over the same identity-padded row-length groups as the exact setup,
-    byte-identical across kernel backends (see
-    :mod:`repro.kernels.precalc`).  The legacy names behave bit-for-bit
-    as before; the op path agrees with them at the level that matters to
-    §5 (the filtered pattern selected downstream), not bitwise — the
-    legacy lockstep CG reduces in a different summation order.
+    ``backend`` resolves exactly as in :func:`compute_g`.  The
+    ``fsai_precalc`` op batches the truncated CG over the same
+    identity-padded row-length groups as the exact setup, byte-identical
+    across kernel backends (see :mod:`repro.kernels.precalc`).
     """
     _check_pattern(a, pattern)
-    kind, resolved = _resolve_setup_backend(backend)
-    label = resolved if isinstance(resolved, str) else resolved.name
+    kb = _resolve_setup_backend(backend)
     with trace.span(
-        "fsai.precalc", rows=pattern.n_rows, nnz=pattern.nnz, backend=label
+        "fsai.precalc", rows=pattern.n_rows, nnz=pattern.nnz,
+        backend=kb.name, threads=kb.setup_threads(),
     ):
         if trace.enabled():
             trace.add_counter(
                 "fsai.precalc_flops", setup_flops_precalc(pattern, max_iterations)
             )
-        if kind == "kernel":
-            assert isinstance(resolved, KernelBackend)
-            lengths = _check_diagonals(pattern)
-            with trace.span(
-                "fsai_setup",
-                backend=resolved.name,
-                threads=resolved.setup_threads(),
-                rows=pattern.n_rows,
-                nnz=pattern.nnz,
-                mode="precalc",
-            ):
-                data = resolved.fsai_precalc(
-                    a, pattern, rtol=rtol,
-                    max_iterations=max_iterations, lengths=lengths,
-                )
-            return CSRMatrix.from_pattern(pattern, data)
-        if resolved == "reference":
-            systems, rhs = gather_local_systems(a, pattern)
-            solutions = solve_spd_approximate_batched(
-                systems, rhs, rtol=rtol, max_iterations=max_iterations
-            )
-            diag = a.diagonal()
-            data = np.empty(pattern.nnz)
-            for i, sol in enumerate(solutions):
-                lo, hi = pattern.indptr[i], pattern.indptr[i + 1]
-                pivot = sol[-1]
-                if pivot <= 0 or not np.isfinite(pivot):
-                    fallback = np.zeros(hi - lo)
-                    fallback[-1] = 1.0 / np.sqrt(diag[i]) if diag[i] > 0 else 1.0
-                    data[lo:hi] = fallback
-                else:
-                    data[lo:hi] = sol / np.sqrt(pivot)
-            return CSRMatrix.from_pattern(pattern, data)
-        return _precalc_bucketed(a, pattern, rtol, max_iterations)
+        lengths = _check_diagonals(pattern)
+        data = kb.fsai_precalc(
+            a, pattern, rtol=rtol, max_iterations=max_iterations,
+            lengths=lengths,
+        )
+        return CSRMatrix.from_pattern(pattern, data)
 
 
 def setup_flops_direct(pattern: Pattern) -> int:

@@ -65,15 +65,13 @@ import numpy as np
 
 from repro import trace
 from repro.fsai.frobenius import (
-    FSAI_BACKENDS,
     _check_diagonals,
     _check_pattern,
+    _resolve_setup_backend,
 )
 from repro.fsai.patterns import fsai_initial_pattern
 from repro.fsai.precond import FSAIApplication
 from repro.fsai.extended import FSAISetup
-from repro.kernels import get_backend
-from repro.kernels.base import KernelBackend
 from repro.kernels.spgemm import plan_spgemm
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
@@ -113,19 +111,6 @@ class GlobalIterInfo:
     converged: bool
     #: Flop estimate across all sweeps (SpGEMM products + vector work).
     flops: int
-
-
-def _kernel_backend(name: Optional[str]) -> KernelBackend:
-    """Resolve ``setup_backend`` for the global route.
-
-    The legacy LAPACK names (``bucketed``/``reference`` in the
-    :func:`~repro.fsai.frobenius.compute_g` sense) have no SpGEMM — the
-    global methods run entirely on kernel ops — so they fall through to
-    the default registry resolution instead of erroring.
-    """
-    if name in FSAI_BACKENDS:
-        name = None
-    return get_backend(name)
 
 
 def _diag_slots(pattern: Pattern) -> np.ndarray:
@@ -195,7 +180,7 @@ def global_g_minres(
     iterate over ``pattern`` — the setup wrappers normalise it.
     """
     _validate(a, pattern, sweeps, rtol)
-    kb = _kernel_backend(backend)
+    kb = _resolve_setup_backend(backend)
     plan = plan_spgemm(pattern, a.pattern, cap=pattern)
     rhs = _identity_rhs(pattern)
     rhs_norm = float(np.sqrt(rhs @ rhs))
@@ -256,7 +241,7 @@ def global_g_chebyshev(
     polynomial stays below 1 on ``(0, λ_lo)``); it cannot diverge.
     """
     _validate(a, pattern, sweeps, rtol)
-    kb = _kernel_backend(backend)
+    kb = _resolve_setup_backend(backend)
     hi = float(lambda_hi) if lambda_hi is not None else _gershgorin_upper(a)
     lo = float(lambda_lo) if lambda_lo is not None else hi / 25.0
     if not 0.0 < lo < hi:
@@ -325,7 +310,7 @@ def global_g_newton_schulz(
     the residual stops improving.
     """
     _validate(a, pattern, sweeps, rtol)
-    kb = _kernel_backend(backend)
+    kb = _resolve_setup_backend(backend)
     plan_xa = plan_spgemm(pattern, a.pattern, cap=pattern)
     plan_zx = plan_spgemm(pattern, pattern, cap=pattern)
     rhs = _identity_rhs(pattern)
@@ -473,9 +458,9 @@ def setup_gsai_st(
     Same pattern pipeline as :func:`repro.fsai.extended.setup_fsai`
     (threshold → pattern power → lower triangle), but ``G`` comes from
     global minimal-residual sweeps instead of per-row direct solves.
-    ``setup_backend`` resolves through the kernel registry; the legacy
-    LAPACK names fall back to the default backend (global methods run
-    entirely on kernel ops).
+    ``setup_backend`` resolves exactly as in
+    :func:`~repro.fsai.frobenius.compute_g`: explicit name, then
+    ``$REPRO_KERNEL_BACKEND``, then ``"auto"``.
     """
     return _setup_global(
         "gsai_st", a, level=level, threshold=threshold,

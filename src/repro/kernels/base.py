@@ -583,15 +583,5 @@ class KernelBackend(ABC):
     def pcg_direction(self, beta: float, d: np.ndarray, z: np.ndarray) -> None:
         """In place ``d = z + beta d`` (the PCG search-direction update)."""
 
-    # ------------------------------------------------------------------
-    # Dense batched kernel (the §5 precalculation's lockstep local CG)
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def stacked_matvec(
-        self, a_stack: np.ndarray, d_stack: np.ndarray,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``out[i] = a_stack[i] @ d_stack[i]`` over an ``(m, k, k)`` stack."""
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -370,16 +370,6 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled paths need numba
             for p in range(lo, hi):
                 x_next[p] = 2.0 * x[p] - scratch[p]
 
-    @njit(parallel=True)
-    def _stacked_matvec_kernel(a_stack, d_stack, out):
-        m, k = d_stack.shape
-        for i in prange(m):
-            for row in range(k):
-                acc = 0.0
-                for col in range(k):
-                    acc += a_stack[i, row, col] * d_stack[i, col]
-                out[i, row] = acc
-
     class NumbaBackend(KernelBackend):
         """JIT row-loop kernels; ``scratch`` buffers are accepted but unused."""
 
@@ -521,14 +511,6 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled paths need numba
         def pcg_direction(self, beta: float, d: np.ndarray,
                           z: np.ndarray) -> None:
             _pcg_direction_kernel(beta, d, z)
-
-        def stacked_matvec(self, a_stack: np.ndarray, d_stack: np.ndarray,
-                           out: Optional[np.ndarray] = None) -> np.ndarray:
-            if out is None:
-                out = np.empty_like(d_stack)
-            _stacked_matvec_kernel(np.ascontiguousarray(a_stack),
-                                   np.ascontiguousarray(d_stack), out)
-            return out
 
 
 def make_backend() -> Optional[KernelBackend]:

@@ -246,13 +246,3 @@ class NumpyBackend(KernelBackend):
     def pcg_direction(self, beta: float, d: np.ndarray, z: np.ndarray) -> None:
         np.multiply(d, beta, out=d)
         np.add(d, z, out=d)
-
-    def stacked_matvec(self, a_stack: np.ndarray, d_stack: np.ndarray,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-        # einsum (not BLAS matmul) keeps the summation order identical to
-        # the reference backend, so the lockstep local CG stays bit-exact
-        # across backends.
-        if out is None:
-            return _einsum("ijk,ik->ij", a_stack, d_stack)
-        _einsum("ijk,ik->ij", a_stack, d_stack, out=out)
-        return out

@@ -55,25 +55,25 @@ setup op: a padded identity block is decoupled from the real system, its
 rhs block is zero, and every operation on exact zeros stays an exact
 zero.
 
-Relationship to the legacy bucketed path
-----------------------------------------
-The legacy ``_precalc_bucketed`` lockstep CG reduces over the *batch-
-first* layout with pairwise-summed einsums, so its values differ from
-this op in final ulps near the truncation boundary.  The contract is
-therefore **not** bitwise agreement with the legacy path but agreement
-where it matters: the filtered :class:`~repro.sparse.pattern.Pattern`
-selected downstream is identical across the FD stencil suite (pinned by
-``tests/fsai/test_precalc_equivalence.py``), and the Jacobi-fallback
-normalisation (zeros except ``1/sqrt(a_ii)`` — or ``1.0`` for a
-non-positive diagonal — in the last slot) is shared arithmetic and is
-bit-for-bit the legacy fallback.  Unlike the exact setup, a breakdown
-never raises: §5 wants a conservative estimate, not a diagnosis.
+Fallback
+--------
+Unlike the exact setup, a breakdown never raises: §5 wants a
+conservative estimate, not a diagnosis.  Rows whose truncated estimate
+has a non-positive or non-finite diagonal take the Jacobi guess (zeros
+except ``1/sqrt(a_ii)`` — or ``1.0`` for a non-positive diagonal — in
+the last slot), and while tracing the driver counts them as
+``fsai.precalc_fallback_rows``.
+
+This op is the only implementation of the §5 precalculation; the
+kernel ``reference`` backend replays it in scalar Python and is its
+oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import trace
 from repro.kernels.setup import plan_groups
 
 __all__ = [
@@ -192,8 +192,8 @@ def run_fsai_precalc(
     group and normalises ``g = ĝ / sqrt(ĝ_i)`` centrally.  Rows whose
     truncated estimate has a non-positive or non-finite diagonal fall
     back to the Jacobi guess — zeros except ``1/sqrt(a_ii)`` (or ``1.0``
-    when ``a_ii ≤ 0``) in the diagonal slot — with arithmetic
-    bit-identical to the legacy bucketed fallback.  Never raises on
+    when ``a_ii ≤ 0``) in the diagonal slot — and are counted as
+    ``fsai.precalc_fallback_rows`` while tracing.  Never raises on
     breakdown; §5 only needs a conservative magnitude estimate.
 
     ``lengths`` is the validated row-length array from
@@ -210,6 +210,7 @@ def run_fsai_precalc(
         [a.entry_keys(), np.asarray([-1], dtype=np.int64)]
     )
     n_cols = np.int64(a.n_cols)
+    fallback_rows = 0
     sizes, counts = np.unique(lengths, return_counts=True)
     for group in plan_groups(sizes.tolist(), counts.tolist()):
         K = group[-1]
@@ -221,6 +222,7 @@ def run_fsai_precalc(
         sol = backend._fsai_precalc_solve(systems, rtol, max_iterations)
         piv = sol[-1]
         good = (piv > 0) & np.isfinite(piv)
+        fallback_rows += len(good) - int(np.count_nonzero(good))
         with np.errstate(invalid="ignore", divide="ignore"):
             norm = sol / np.sqrt(piv)
         r0 = 0
@@ -239,4 +241,6 @@ def run_fsai_precalc(
             span = indptr[rows][:, None] + np.arange(k)
             data[span] = vals
             r0 = r1
+    if fallback_rows and trace.enabled():
+        trace.add_counter("fsai.precalc_fallback_rows", fallback_rows)
     return data

@@ -175,11 +175,3 @@ class ReferenceBackend(KernelBackend):
     def pcg_direction(self, beta: float, d: np.ndarray, z: np.ndarray) -> None:
         d *= beta
         d += z
-
-    def stacked_matvec(self, a_stack: np.ndarray, d_stack: np.ndarray,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-        q = np.einsum("ijk,ik->ij", a_stack, d_stack)
-        if out is not None:
-            out[:] = q
-            return out
-        return q

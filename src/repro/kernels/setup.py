@@ -37,7 +37,12 @@ semantics (``sqrt`` of a negative pivot yields NaN, division by a zero
 pivot yields inf), any non-SPD pivot propagates a non-finite value into
 the solution's diagonal entry, and the driver raises
 :class:`~repro.errors.NotSPDError` naming the first offending row after
-all groups are solved — the same diagnostic the LAPACK path produces.
+all groups are solved.
+
+This op is the only implementation of the exact setup.  The kernel
+``reference`` backend replays it in scalar Python and is its oracle; the
+tests also hold it to a per-row dense LAPACK solve
+(:func:`repro.solvers.direct.solve_spd`) written in the test itself.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ Usage (the ``bench-gate`` CI job)::
         --json gate-report.json
 
 ``--json`` additionally writes the full report — tolerance, per-component
-verdicts, missing components — as a machine-readable file, which CI
-uploads as a workflow artifact so a tripped gate can be inspected without
-re-running the bench.
+verdicts, missing and retired components — as a machine-readable file,
+which CI uploads as a workflow artifact so a tripped gate can be inspected
+without re-running the bench.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.perf.regression import RegressionRecord
@@ -84,11 +84,16 @@ class ComponentVerdict:
 
 @dataclass
 class GateReport:
-    """All verdicts plus the tolerance they were judged against."""
+    """All verdicts plus the tolerance they were judged against.
+
+    ``missing`` baseline components fail the gate; ``retired`` ones (name
+    → reason, taken from the current record's ``retired`` map) do not.
+    """
 
     tolerance: float
     verdicts: List[ComponentVerdict]
     missing: List[str]
+    retired: Dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -100,6 +105,10 @@ class GateReport:
         out += [
             f"  FAIL {name:<18} missing from the current record"
             for name in self.missing
+        ]
+        out += [
+            f"  retired {name:<15} {reason}"
+            for name, reason in self.retired.items()
         ]
         out.append("  PASS" if self.ok else "  GATE FAILED")
         return out
@@ -121,6 +130,7 @@ class GateReport:
                 for v in self.verdicts
             ],
             "missing": list(self.missing),
+            "retired": dict(self.retired),
         }
 
     def write_json(self, path: str) -> None:
@@ -148,18 +158,23 @@ def compare_records(
     """Judge ``current`` against ``baseline`` component by component.
 
     A baseline component absent from the current record is a failure (a
-    silently-dropped bench must not pass the gate); components that exist
-    only in the current record are simply not judged.  The composite
-    speedup is judged under the name ``COMPOSITE``.
+    silently-dropped bench must not pass the gate) unless the current
+    record names it in its ``retired`` map; components that exist only in
+    the current record are simply not judged.  The composite speedup is
+    judged under the name ``COMPOSITE``.
     """
     tol = resolve_tolerance(tolerance)
     current_by_name = {c.name: c for c in current.components}
     verdicts: List[ComponentVerdict] = []
     missing: List[str] = []
+    retired: Dict[str, str] = {}
     for base in baseline.components:
         cur = current_by_name.get(base.name)
         if cur is None:
-            missing.append(base.name)
+            if base.name in current.retired:
+                retired[base.name] = current.retired[base.name]
+            else:
+                missing.append(base.name)
             continue
         informational = base.informational or cur.informational
         verdicts.append(
@@ -179,7 +194,9 @@ def compare_records(
             ok=current.speedup >= tol * baseline.speedup,
         )
     )
-    return GateReport(tolerance=tol, verdicts=verdicts, missing=missing)
+    return GateReport(
+        tolerance=tol, verdicts=verdicts, missing=missing, retired=retired
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,11 +1,14 @@
 """Performance-regression records for the implementation's own hot paths.
 
-The vectorized simulation engine and the bucketed FSAI setup replace exact
-reference implementations; the speedup is an implementation claim that must
-stay true as the code evolves.  A :class:`RegressionRecord` captures one
+The vectorized simulation engine and the kernel-backend solver paths
+replace exact reference implementations that stay in the tree as live
+oracles; the speedup is an implementation claim that must stay true as the
+code evolves.  A :class:`RegressionRecord` captures one
 reference-vs-optimized timing comparison — per-component and composite — in
 a stable JSON shape (``BENCH_engine.json`` at the repository root) that CI
-and later sessions can diff.
+and later sessions can diff.  A component whose reference side was deleted
+is listed in the record's ``retired`` map instead, so the gate can tell a
+deliberate retirement from a silently dropped bench.
 
 Timings use :func:`repro.perf.timer.min_over_repetitions` semantics upstream
 (minimum over repetitions, §7.1 style); this module only aggregates and
@@ -82,6 +85,9 @@ class RegressionRecord:
     orchestration: Optional[OrchestrationMetrics] = None
     #: Optional phase breakdown of the benched workload (``repro.trace``).
     trace_summary: Optional[TraceSummary] = None
+    #: Component name → reason, for components the bench no longer times
+    #: on purpose (their reference side was deleted).
+    retired: Dict[str, str] = field(default_factory=dict)
 
     @property
     def _judged(self) -> List[RegressionComponent]:
@@ -125,6 +131,8 @@ class RegressionRecord:
             payload["orchestration"] = self.orchestration.to_dict()
         if self.trace_summary is not None:
             payload["trace_summary"] = self.trace_summary.to_dict()
+        if self.retired:
+            payload["retired"] = dict(self.retired)
         return payload
 
     def write(self, path: Union[str, Path]) -> Path:
@@ -158,6 +166,7 @@ class RegressionRecord:
                 if "trace_summary" in payload
                 else None
             ),
+            retired=dict(payload.get("retired", {})),
         )
 
     @classmethod

@@ -514,7 +514,14 @@ class MultiProcessClient:
     def register(
         self, matrix: CSRMatrix, *, method: str = "fsai", **config: Any
     ) -> str:
-        """Publish into the shared store and attach on the owning shard."""
+        """Publish into the shared store and attach on the owning shard.
+
+        Raises :class:`~repro.errors.ServiceClosedError` when the pool is
+        closing, and :class:`~repro.errors.WorkerCrashedError` when the
+        shard's command queue refuses the attach on every retry.  The spec
+        stays registered either way, so a respawn's replay still attaches
+        it and a retried ``register`` succeeds.
+        """
         if self._closing:
             raise ServiceClosedError("pool is not accepting requests")
         spec = self.store.publish(matrix, method=method, config=config)
@@ -535,6 +542,14 @@ class MultiProcessClient:
                     break
                 except (OSError, ValueError):
                     time.sleep(MONITOR_INTERVAL)
+            else:
+                if self._closing:
+                    raise ServiceClosedError("pool closed during register")
+                raise WorkerCrashedError(
+                    f"shard {shard} refused the attach of operator "
+                    f"{spec.fingerprint[:12]}; retry once it is respawned",
+                    shard,
+                )
         return spec.fingerprint
 
     def shard_of(self, fingerprint: str) -> int:

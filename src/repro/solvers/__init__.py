@@ -3,11 +3,9 @@
 * :func:`~repro.solvers.cg.cg` / :func:`~repro.solvers.cg.pcg` — the paper's
   Conjugate Gradient solver (§2.1), instrumented with residual history and
   flop counts.
-* :mod:`~repro.solvers.direct` — dense Cholesky factorisation and SPD solves
-  for the FSAI local systems (the role MKL / LAPACK / OpenBLAS play in the
-  paper's §7.1); includes batched solves grouping equal-size systems.
-* :mod:`~repro.solvers.local_cg` — small-system CG used by the §5
-  precalculation (approximate ``G`` at loose tolerance).
+* :mod:`~repro.solvers.direct` — the dense LAPACK SPD solve for one small
+  local system (the role MKL / LAPACK / OpenBLAS play in the paper's §7.1);
+  the batched FSAI setup itself is the ``fsai_setup`` kernel op.
 * :mod:`~repro.solvers.preconditioners` — trivial baselines (identity,
   Jacobi) against which FSAI is sanity-checked.
 """
@@ -18,18 +16,7 @@ from repro.solvers.convergence import (
     SolveResult,
 )
 from repro.solvers.cg import cg, pcg, pcg_multi
-from repro.solvers.direct import (
-    cholesky_factor,
-    solve_lower_triangular,
-    solve_upper_triangular,
-    solve_spd,
-    solve_spd_stacked,
-    solve_spd_batched,
-)
-from repro.solvers.local_cg import (
-    solve_spd_approximate,
-    solve_spd_approximate_stacked,
-)
+from repro.solvers.direct import solve_spd
 from repro.solvers.sptrsv import (
     level_schedule_stats,
     level_sets,
@@ -50,14 +37,7 @@ __all__ = [
     "cg",
     "pcg",
     "pcg_multi",
-    "cholesky_factor",
-    "solve_lower_triangular",
-    "solve_upper_triangular",
     "solve_spd",
-    "solve_spd_stacked",
-    "solve_spd_batched",
-    "solve_spd_approximate",
-    "solve_spd_approximate_stacked",
     "sparse_forward_substitution",
     "sparse_backward_substitution",
     "level_sets",

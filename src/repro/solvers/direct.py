@@ -1,89 +1,20 @@
-"""Dense direct solvers for the FSAI local systems.
+"""Dense direct SPD solve for small local systems.
 
-Every FSAI row requires the solution of a small dense SPD system
-``A[S_i, S_i] g = e_i`` (paper §2.2).  The paper offloads these to MKL /
-LAPACK / OpenBLAS (§7.1); here NumPy's LAPACK bindings play that role, with
-two additions:
-
-* an explicit from-scratch Cholesky (:func:`cholesky_factor` +
-  substitutions) used by the test-suite as an independent oracle and by
-  callers that want the SPD failure diagnosed at the exact pivot;
-* :func:`solve_spd_batched`, which groups equal-size systems into one batched
-  LAPACK call — the same blocking trick high-performance FSAI codes use, and
-  the difference between O(n) Python-loop overhead and a handful of array
-  calls per setup.
+The paper offloads the small dense SPD systems of the FSAI setup to
+MKL / LAPACK / OpenBLAS (§7.1).  The setup itself runs as the batched
+``fsai_setup`` kernel op (:mod:`repro.kernels.setup`); this module keeps
+the one-system LAPACK solve that the adaptive (FSPAI) pattern search in
+:mod:`repro.fsai.adaptive` calls row by row.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro._typing import FloatArray
 from repro.errors import NotSPDError, ShapeError
 
-__all__ = [
-    "cholesky_factor",
-    "solve_lower_triangular",
-    "solve_upper_triangular",
-    "solve_spd",
-    "solve_spd_stacked",
-    "solve_spd_batched",
-]
-
-
-def cholesky_factor(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor ``L`` with ``L @ L.T = a`` (from scratch).
-
-    Raises :class:`NotSPDError` naming the offending pivot when ``a`` is not
-    positive definite — the FSAI setup surfaces this as "matrix restriction
-    not SPD", which is how indefinite inputs are detected in practice.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected square matrix, got {a.shape}")
-    n = a.shape[0]
-    L = np.zeros_like(a)
-    for j in range(n):
-        # d = a_jj - sum_k L_jk^2 must stay positive.
-        d = a[j, j] - np.dot(L[j, :j], L[j, :j])
-        if d <= 0.0 or not np.isfinite(d):
-            raise NotSPDError(f"non-positive pivot {d:.3e} at index {j}")
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (
-                a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]
-            ) / L[j, j]
-    return L
-
-
-def solve_lower_triangular(L: np.ndarray, b: FloatArray) -> FloatArray:
-    """Forward substitution ``L y = b`` (unit-stride, row-oriented)."""
-    L = np.asarray(L, dtype=np.float64)
-    n = L.shape[0]
-    if L.shape != (n, n) or b.shape != (n,):
-        raise ShapeError("triangular solve shape mismatch")
-    y = np.array(b, dtype=np.float64)
-    for i in range(n):
-        if i:
-            y[i] -= np.dot(L[i, :i], y[:i])
-        y[i] /= L[i, i]
-    return y
-
-
-def solve_upper_triangular(U: np.ndarray, b: FloatArray) -> FloatArray:
-    """Back substitution ``U x = b``."""
-    U = np.asarray(U, dtype=np.float64)
-    n = U.shape[0]
-    if U.shape != (n, n) or b.shape != (n,):
-        raise ShapeError("triangular solve shape mismatch")
-    x = np.array(b, dtype=np.float64)
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= np.dot(U[i, i + 1:], x[i + 1:])
-        x[i] /= U[i, i]
-    return x
+__all__ = ["solve_spd"]
 
 
 def solve_spd(a: np.ndarray, b: FloatArray) -> FloatArray:
@@ -108,81 +39,3 @@ def solve_spd(a: np.ndarray, b: FloatArray) -> FloatArray:
     # delegate both solves to one call each.
     y = np.linalg.solve(L, b)
     return np.linalg.solve(L.T, y)
-
-
-def solve_spd_stacked(
-    stacked_a: np.ndarray,
-    stacked_b: np.ndarray,
-    *,
-    system_ids: Optional[Sequence[int]] = None,
-) -> np.ndarray:
-    """Solve a ``(m, k, k)`` stack of SPD systems in one batched LAPACK call.
-
-    This is the per-bucket kernel shared by :func:`solve_spd_batched` and
-    the bucketed FSAI setup: the batched Cholesky screens for
-    indefiniteness exactly as the one-at-a-time path would, and on failure
-    the systems are re-factorised singly to name the first culprit —
-    ``system_ids`` supplies the caller's numbering (e.g. pattern row ids)
-    for that message.
-    """
-    stacked_a = np.asarray(stacked_a, dtype=np.float64)
-    stacked_b = np.asarray(stacked_b, dtype=np.float64)
-    if stacked_a.ndim != 3 or stacked_a.shape[1] != stacked_a.shape[2]:
-        raise ShapeError(f"expected (m, k, k) stack, got {stacked_a.shape}")
-    m, k = stacked_a.shape[:2]
-    if stacked_b.shape != (m, k):
-        raise ShapeError(
-            f"rhs stack {stacked_b.shape} does not match systems {stacked_a.shape}"
-        )
-    if m == 0 or k == 0:
-        return np.empty((m, k))
-    try:
-        np.linalg.cholesky(stacked_a)
-        return np.linalg.solve(stacked_a, stacked_b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # Re-run singly to name the culprit.
-        for slot in range(m):
-            try:
-                np.linalg.cholesky(stacked_a[slot])
-            except np.linalg.LinAlgError as exc:
-                i = slot if system_ids is None else system_ids[slot]
-                raise NotSPDError(
-                    f"local system {i} (size {k}) is not SPD"
-                ) from exc
-        raise
-
-
-def solve_spd_batched(
-    systems: Sequence[np.ndarray], rhs: Sequence[FloatArray]
-) -> List[FloatArray]:
-    """Solve many small dense SPD systems, batching equal sizes.
-
-    Systems are bucketed by dimension; each bucket becomes a single stacked
-    ``(m, k, k)`` LAPACK call.  Order of results matches the input order.
-    This is the performance backbone of FSAI setup: a 20 000-row
-    preconditioner triggers ~20 000 local solves that collapse into a few
-    dozen batched calls.
-
-    Raises :class:`NotSPDError` if *any* system is singular/indefinite,
-    identifying the first offending input index.
-    """
-    if len(systems) != len(rhs):
-        raise ShapeError("systems/rhs length mismatch")
-    buckets: Dict[int, List[int]] = {}
-    for idx, a in enumerate(systems):
-        k = a.shape[0]
-        if a.shape != (k, k) or rhs[idx].shape != (k,):
-            raise ShapeError(f"system {idx}: shape mismatch {a.shape} vs {rhs[idx].shape}")
-        buckets.setdefault(k, []).append(idx)
-    out: List[FloatArray] = [None] * len(systems)  # type: ignore[list-item]
-    for k, idxs in buckets.items():
-        if k == 0:
-            for i in idxs:
-                out[i] = np.empty(0)
-            continue
-        stacked_a = np.stack([systems[i] for i in idxs])
-        stacked_b = np.stack([rhs[i] for i in idxs])
-        solutions = solve_spd_stacked(stacked_a, stacked_b, system_ids=idxs)
-        for slot, i in enumerate(idxs):
-            out[i] = solutions[slot]
-    return out

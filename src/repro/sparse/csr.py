@@ -603,11 +603,11 @@ class CSRMatrix:
     def gather_entries(self, rows: IndexArray, cols: IndexArray) -> np.ndarray:
         """Values at positions ``(rows[j], cols[j])``; absent entries read 0.
 
-        ``rows`` and ``cols`` may have any (matching) shape — the bucketed
-        FSAI gather passes whole ``(batch, k, k)`` index blocks — and the
-        values come back in that shape.  One binary search over the cached
-        row-major :meth:`entry_keys` replaces the per-row searches of
-        :meth:`submatrix`, so extracting every local system of a pattern
+        ``rows`` and ``cols`` may have any (matching) shape — the
+        post-filter rescale passes whole ``(batch, k, k)`` index blocks —
+        and the values come back in that shape.  One binary search over the
+        cached row-major :meth:`entry_keys` replaces the per-row searches of
+        :meth:`submatrix`, so extracting every local system of a row-length
         bucket is a single vectorised lookup.
         """
         rows = np.asarray(rows, dtype=np.int64)

@@ -4,8 +4,7 @@ The offline sort/merge-count engine (:mod:`repro.cachesim.engine`) must
 reproduce the per-access ``OrderedDict`` oracle *exactly* — same hit mask,
 same counters, same final cache state including per-set LRU order — over
 randomized traces spanning set counts, associativities and line ranges, and
-over the repeat-heavy traces the collapse fast-path targets.  The bucketed
-FSAI gather is held to the same standard against the per-row reference.
+over the repeat-heavy traces the collapse fast-path targets.
 """
 
 import numpy as np
@@ -21,15 +20,7 @@ from repro.cachesim.engine import (
     stack_distances_vectorized,
 )
 from repro.cachesim.stackdist import stack_distances
-from repro.collection.suite import get_case
 from repro.errors import ConfigurationError
-from repro.fsai.frobenius import (
-    compute_g,
-    gather_local_systems,
-    gather_local_systems_bucketed,
-    precalculate_g,
-)
-from repro.fsai.patterns import fsai_initial_pattern
 
 # Traces long enough to cross the vector-dispatch threshold and short enough
 # for hypothesis throughput; line ids deliberately collide across sets.
@@ -147,43 +138,3 @@ class TestEngineVsReference:
         with pytest.raises(ConfigurationError):
             SetAssociativeCache(spec, backend="turbo")
 
-
-class TestBucketedGather:
-    """Bucketed FSAI local-system assembly vs the per-row reference."""
-
-    @pytest.mark.parametrize("case_id", [5, 9, 24, 46])
-    def test_gather_identical(self, case_id):
-        a = get_case(case_id).build()
-        pattern = fsai_initial_pattern(a)
-        ref_systems, ref_rhs = gather_local_systems(a, pattern)
-        covered = np.zeros(pattern.n_rows, dtype=bool)
-        for bucket in gather_local_systems_bucketed(a, pattern):
-            for slot, i in enumerate(bucket.rows.tolist()):
-                assert np.array_equal(bucket.systems[slot], ref_systems[i])
-                assert np.array_equal(bucket.rhs[slot], ref_rhs[i])
-                covered[i] = True
-        assert covered.all()
-
-    @pytest.mark.parametrize("case_id", [5, 9, 24, 46])
-    def test_compute_g_bit_identical(self, case_id):
-        a = get_case(case_id).build()
-        pattern = fsai_initial_pattern(a)
-        g_ref = compute_g(a, pattern, backend="reference")
-        g_vec = compute_g(a, pattern, backend="bucketed")
-        assert np.array_equal(g_ref.indptr, g_vec.indptr)
-        assert np.array_equal(g_ref.indices, g_vec.indices)
-        assert np.array_equal(g_ref.data, g_vec.data)
-
-    @pytest.mark.parametrize("case_id", [5, 24])
-    def test_precalculate_g_bit_identical(self, case_id):
-        a = get_case(case_id).build()
-        pattern = fsai_initial_pattern(a)
-        g_ref = precalculate_g(a, pattern, backend="reference")
-        g_vec = precalculate_g(a, pattern, backend="bucketed")
-        assert np.array_equal(g_ref.data, g_vec.data)
-
-    def test_unknown_backend_rejected(self):
-        a = get_case(5).build()
-        pattern = fsai_initial_pattern(a)
-        with pytest.raises(ConfigurationError):
-            compute_g(a, pattern, backend="magic")

@@ -441,10 +441,10 @@ class TestThreadBudget:
 
     def test_explicit_setup_backend_recorded(self):
         cfg = ExperimentConfig(
-            filters=(0.0,), methods=("fsaie_sp",), setup_backend="bucketed"
+            filters=(0.0,), methods=("fsaie_sp",), setup_backend="reference"
         )
         from repro.collection.suite import get_case
 
         result = run_case(get_case(52), cfg)
-        assert result.setup_backend == "bucketed"
+        assert result.setup_backend == "reference"
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg

@@ -152,13 +152,14 @@ def test_invalid_arguments():
         global_g_chebyshev(a, pattern, lambda_lo=2.0, lambda_hi=1.0)
 
 
-def test_legacy_setup_backend_names_accepted():
-    # The LAPACK paths have no SpGEMM; legacy names fall back to the
-    # kernel registry default instead of erroring.
+def test_setup_backend_names_resolve_through_registry():
+    # Same resolution as compute_g: kernel-registry names only.
     a = poisson2d(8)
     ref = setup_gsai_st(a).g.data
-    for name in ("bucketed", "reference", None, "numpy"):
+    for name in ("reference", None, "numpy", "auto"):
         assert setup_gsai_st(a, setup_backend=name).g.data == pytest.approx(ref)
+    with pytest.raises(ConfigurationError):
+        setup_gsai_st(a, setup_backend="bucketed")
 
 
 def test_trace_records_global_iteration():

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import NotSPDError, PatternError, ShapeError
 from repro.fsai.frobenius import (
     compute_g,
-    gather_local_systems,
     precalculate_g,
     setup_flops_direct,
     setup_flops_precalc,
@@ -50,35 +49,6 @@ class TestInitialPattern:
     def test_requires_square(self):
         with pytest.raises(ShapeError):
             fsai_initial_pattern(csr_from_dense(np.ones((2, 3))))
-
-
-class TestGatherLocalSystems:
-    def test_shapes_and_rhs(self, spd8):
-        p = fsai_initial_pattern(spd8)
-        systems, rhs = gather_local_systems(spd8, p)
-        assert len(systems) == 8
-        for i in range(8):
-            k = len(p.row(i))
-            assert systems[i].shape == (k, k)
-            assert rhs[i][-1] == 1.0 and rhs[i][:-1].sum() == 0.0
-
-    def test_submatrix_content(self, spd8):
-        p = fsai_initial_pattern(spd8)
-        systems, _ = gather_local_systems(spd8, p)
-        dense = spd8.to_dense()
-        for i in range(8):
-            cols = p.row(i)
-            assert np.allclose(systems[i], dense[np.ix_(cols, cols)])
-
-    def test_missing_diagonal_rejected(self, spd8):
-        bad = Pattern.from_coo(8, 8, np.array([1]), np.array([0]))
-        # pad to full rows minus diagonals
-        with pytest.raises(PatternError):
-            gather_local_systems(spd8, bad)
-
-    def test_upper_pattern_rejected(self, spd8):
-        with pytest.raises(PatternError):
-            compute_g(spd8, spd8.pattern.triu())
 
 
 class TestComputeG:
@@ -137,6 +107,18 @@ class TestComputeG:
     def test_shape_mismatch(self, spd8):
         with pytest.raises(ShapeError):
             compute_g(spd8, Pattern.identity(5))
+
+    def test_missing_diagonal_rejected(self, spd8):
+        # Row 0 is empty and row 1 holds (1, 0) without its diagonal.
+        bad = Pattern.from_coo(8, 8, np.array([1]), np.array([0]))
+        with pytest.raises(PatternError, match="row 0"):
+            compute_g(spd8, bad)
+        with pytest.raises(PatternError, match="row 0"):
+            precalculate_g(spd8, bad)
+
+    def test_upper_pattern_rejected(self, spd8):
+        with pytest.raises(PatternError):
+            compute_g(spd8, spd8.pattern.triu())
 
 
 class TestPrecalculateG:

@@ -7,7 +7,7 @@ cases, cache-friendly *extended* patterns (the workload the op exists
 for) and the degenerate shapes — size-1 rows, a single-system batch
 (exercising the width-2 identity pad), zero iterations, systems that
 converge on the very first step, and curvature breakdowns that must fall
-back to the Jacobi guess bit-for-bit with the legacy bucketed path.
+back to the Jacobi guess and be counted as ``fsai.precalc_fallback_rows``.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import trace
 from repro.arch.address import ArrayPlacement
 from repro.collection.generators.fd import poisson2d
 from repro.collection.suite import get_case
@@ -22,7 +23,6 @@ from repro.fsai.fillin import extend_pattern_cache_friendly
 from repro.fsai.frobenius import (
     DEFAULT_PRECALC_ITERATIONS,
     DEFAULT_PRECALC_RTOL,
-    _precalc_bucketed,
     precalculate_g,
 )
 from repro.fsai.patterns import fsai_initial_pattern
@@ -79,15 +79,15 @@ def test_backends_byte_identical(case):
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_precalculate_g_routes_through_op(case):
-    """The public §5 entry point returns the op's bytes unchanged.
-
-    ``backend="reference"`` resolves to the *legacy* reference path in
-    ``precalculate_g`` (``FSAI_BACKENDS`` wins over the registry), so
-    the routing claim is made with a registry-only name.
-    """
+    """The public §5 entry point returns the op's bytes unchanged."""
     _, a, pattern = case
     g = precalculate_g(a, pattern, backend="numpy")
     assert g.data.tobytes() == _precalc_bytes("numpy", a, pattern)
+
+
+def _fallback_rows(collector):
+    counters = trace.TraceSummary.from_collector(collector).counter_totals()
+    return counters.get("fsai.precalc_fallback_rows", 0)
 
 
 def test_zero_iterations_is_all_jacobi():
@@ -98,10 +98,12 @@ def test_zero_iterations_is_all_jacobi():
     expected = np.zeros(pattern.nnz)
     expected[pattern.indptr[1:] - 1] = 1.0 / np.sqrt(a.diagonal())
     for name in BACKENDS:
-        data = get_backend(name).fsai_precalc(
-            a, pattern, rtol=DEFAULT_PRECALC_RTOL, max_iterations=0
-        )
+        with trace.collecting() as collector:
+            data = get_backend(name).fsai_precalc(
+                a, pattern, rtol=DEFAULT_PRECALC_RTOL, max_iterations=0
+            )
         np.testing.assert_array_equal(data, expected)
+        assert _fallback_rows(collector) == a.n_rows
 
 
 def test_diagonal_matrix_converges_at_first_step():
@@ -120,10 +122,10 @@ def test_diagonal_matrix_converges_at_first_step():
         )
 
 
-def test_breakdown_falls_back_bitwise_like_legacy():
+def test_breakdown_falls_back_to_jacobi():
     """A curvature breakdown (indefinite restriction) never raises; the
-    offending row takes the same Jacobi-fallback bits as the legacy
-    bucketed path (1.0 for a non-positive diagonal)."""
+    offending row takes the Jacobi guess (1.0 for a non-positive
+    diagonal) and is the one counted fallback row."""
     d = np.array([
         [4.0, 0.0, 0.0],
         [0.0, -1.0, 0.0],   # dᵀq = -1 on the first step -> frozen at zero
@@ -131,17 +133,12 @@ def test_breakdown_falls_back_bitwise_like_legacy():
     ])
     a = csr_from_dense(d)
     pattern = fsai_initial_pattern(a)
-    legacy = _precalc_bucketed(
-        a, pattern, DEFAULT_PRECALC_RTOL, DEFAULT_PRECALC_ITERATIONS
-    ).data
     lo, hi = pattern.indptr[1], pattern.indptr[2]
     for name in BACKENDS:
-        data = get_backend(name).fsai_precalc(
-            a, pattern, rtol=DEFAULT_PRECALC_RTOL,
-            max_iterations=DEFAULT_PRECALC_ITERATIONS,
-        )
-        assert data[lo:hi].tobytes() == legacy[lo:hi].tobytes()
-        assert data[lo:hi].tolist() == [1.0]
+        with trace.collecting() as collector:
+            g = precalculate_g(a, pattern, backend=name)
+        assert g.data[lo:hi].tolist() == [1.0]
+        assert _fallback_rows(collector) == 1
 
 
 def test_width_one_identity_pad_is_bitwise_neutral():

@@ -8,7 +8,8 @@ degenerate bucket shapes (size-1 rows, single-bucket patterns, ``n = 1``,
 empty FSAIE extensions), then check the pieces the guarantee rests on:
 identity padding must be bitwise neutral, the group plan must be a pure
 function of the row-length histogram, and non-SPD failures must surface
-as the same ``NotSPDError`` the LAPACK path raises.
+as a ``NotSPDError`` naming the first bad row.  Dense agreement is held
+against a per-row LAPACK solve written here, independent of the op.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ from repro.errors import ConfigurationError, NotSPDError
 from repro.fsai.frobenius import (
     DEFAULT_PRECALC_ITERATIONS,
     DEFAULT_PRECALC_RTOL,
-    FSAI_BACKENDS,
     compute_g,
     precalculate_g,
     resolve_setup_backend,
@@ -36,6 +36,7 @@ from repro.kernels.setup import (
     plan_groups,
     solve_group_stack,
 )
+from repro.solvers.direct import solve_spd
 from repro.sparse.construct import csr_from_dense
 from repro.sparse.pattern import Pattern
 
@@ -99,16 +100,29 @@ def test_backends_byte_identical(case):
         assert blob == baseline, f"{name} diverges from {BACKENDS[0]}"
 
 
+def _dense_oracle(a, pattern):
+    """Per-row LAPACK solve of ``A[S_i, S_i] ĝ = e_last``, normalised."""
+    data = np.empty(pattern.nnz)
+    for i in range(pattern.n_rows):
+        cols = pattern.row(i)
+        e_last = np.zeros(len(cols))
+        e_last[-1] = 1.0
+        sol = solve_spd(a.submatrix(cols, cols), e_last)
+        data[pattern.indptr[i]:pattern.indptr[i + 1]] = sol / np.sqrt(sol[-1])
+    return data
+
+
 @pytest.mark.parametrize("case", CASES, ids=IDS)
-def test_op_matches_legacy_lapack(case):
-    """Different factorisation, same minimiser: op vs bucketed LAPACK agree
-    to solver roundoff.  Near-zero entries need the absolute tolerance —
-    the two paths round them differently around exact cancellation."""
+def test_op_matches_dense_oracle(case):
+    """Different factorisation, same minimiser: the op and a per-row
+    LAPACK solve agree to solver roundoff.  Near-zero entries need the
+    absolute tolerance — the two round them differently around exact
+    cancellation."""
     _, a, pattern = case
-    legacy = compute_g(a, pattern, backend="bucketed").data
+    oracle = _dense_oracle(a, pattern)
     op = get_backend(BACKENDS[0]).fsai_setup(a, pattern)
-    scale = float(np.max(np.abs(legacy)))
-    np.testing.assert_allclose(op, legacy, rtol=1e-9, atol=1e-9 * scale)
+    scale = float(np.max(np.abs(oracle)))
+    np.testing.assert_allclose(op, oracle, rtol=1e-9, atol=1e-9 * scale)
 
 
 def test_identity_pattern_is_jacobi():
@@ -252,9 +266,6 @@ def test_not_spd_names_first_bad_row(backend_name):
     pattern = _tril_pattern_of(a)
     with pytest.raises(NotSPDError, match="row 1"):
         get_backend(backend_name).fsai_setup(a, pattern)
-    # LAPACK path reports the same offending row (its own wording).
-    with pytest.raises(NotSPDError, match=r"(row|system) 1"):
-        compute_g(a, pattern, backend="bucketed")
 
 
 class TestResolution:
@@ -268,11 +279,15 @@ class TestResolution:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")
-        assert resolve_setup_backend("bucketed") == "bucketed"
+        assert resolve_setup_backend("reference") == "reference"
 
-    def test_legacy_names_stay_legacy(self):
-        for name in FSAI_BACKENDS:
-            assert resolve_setup_backend(name) == name
+    def test_bucketed_rejected(self):
+        """The removed LAPACK path's name is not a registry backend."""
+        with pytest.raises(ConfigurationError):
+            resolve_setup_backend("bucketed")
+        with pytest.raises(ConfigurationError):
+            compute_g(poisson2d(4), _tril_pattern_of(poisson2d(4)),
+                      backend="bucketed")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -294,11 +309,7 @@ def test_default_compute_g_equals_direct_op():
 
 
 def test_precalc_kernel_path_runs_the_op():
-    """Kernel-name precalc routes through ``fsai_precalc`` byte-for-byte
-    and agrees with the legacy bucketed values to truncated-CG roundoff
-    (bitwise agreement is not the contract — the legacy lockstep CG
-    reduces in a different summation order; the filtered-pattern-level
-    equivalence lives in ``tests/fsai/test_precalc_equivalence.py``)."""
+    """``precalculate_g`` routes through ``fsai_precalc`` byte-for-byte."""
     a = poisson2d(10)
     pattern = _tril_pattern_of(a)
     with use_backend("numpy"):
@@ -308,8 +319,3 @@ def test_precalc_kernel_path_runs_the_op():
         max_iterations=DEFAULT_PRECALC_ITERATIONS,
     )
     assert kernel.data.tobytes() == op.tobytes()
-    legacy = precalculate_g(a, pattern, backend="bucketed")
-    scale = float(np.max(np.abs(legacy.data)))
-    np.testing.assert_allclose(
-        kernel.data, legacy.data, rtol=1e-9, atol=1e-9 * scale
-    )

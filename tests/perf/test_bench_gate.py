@@ -14,7 +14,7 @@ from repro.perf.bench_gate import (
 from repro.perf.regression import RegressionComponent, RegressionRecord
 
 
-def _record(speedups, label="bench"):
+def _record(speedups, label="bench", retired=None):
     """Record with one component per (name, speedup); reference is 1 s."""
     components = [
         RegressionComponent(
@@ -23,7 +23,10 @@ def _record(speedups, label="bench"):
         )
         for name, s in speedups.items()
     ]
-    return RegressionRecord(label=label, scope="unit", components=components)
+    return RegressionRecord(
+        label=label, scope="unit", components=components,
+        retired=retired or {},
+    )
 
 
 BASELINE = {"stack_distances": 10.0, "fsai_setup": 4.0, "cache_replay": 1.0}
@@ -65,6 +68,40 @@ class TestCompareRecords:
         assert not report.ok
         assert report.missing == ["fsai_setup"]
         assert "missing" in "\n".join(report.lines())
+
+    def test_retired_component_is_reported_not_failed(self):
+        current = {k: v for k, v in BASELINE.items() if k != "fsai_setup"}
+        reason = "reference side deleted"
+        report = compare_records(
+            _record(BASELINE),
+            _record(current, retired={"fsai_setup": reason}),
+        )
+        assert report.ok
+        assert report.missing == []
+        assert report.retired == {"fsai_setup": reason}
+        assert "fsai_setup" not in {v.name for v in report.verdicts}
+        lines = "\n".join(report.lines())
+        assert "retired fsai_setup" in lines and reason in lines
+        assert report.to_dict()["retired"] == {"fsai_setup": reason}
+
+    def test_retiring_one_component_does_not_excuse_another(self):
+        current = {"cache_replay": BASELINE["cache_replay"]}
+        report = compare_records(
+            _record(BASELINE),
+            _record(current, retired={"fsai_setup": "deleted"}),
+        )
+        assert not report.ok
+        assert report.missing == ["stack_distances"]
+        assert report.retired == {"fsai_setup": "deleted"}
+
+    def test_retired_map_round_trips(self):
+        record = _record(BASELINE, retired={"old": "deleted"})
+        clone = RegressionRecord.from_dict(
+            json.loads(json.dumps(record.to_dict()))
+        )
+        assert clone.retired == {"old": "deleted"}
+        assert "retired" not in _record(BASELINE).to_dict()
+        assert RegressionRecord.from_dict(_record(BASELINE).to_dict()).retired == {}
 
     def test_extra_current_component_is_not_judged(self):
         # A fast new bench changes the composite only mildly and gets no
@@ -213,6 +250,19 @@ class TestCli:
         assert main([base, cur]) == 1
         out = capsys.readouterr().out
         assert "FAIL fsai_setup" in out and "GATE FAILED" in out
+
+    def test_retired_component_exit_zero(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(TOLERANCE_ENV, raising=False)
+        base = self._write(tmp_path / "base.json", BASELINE)
+        current = _record(
+            {k: v for k, v in BASELINE.items() if k != "fsai_setup"},
+            retired={"fsai_setup": "reference side deleted"},
+        )
+        cur = tmp_path / "cur.json"
+        cur.write_text(json.dumps(current.to_dict()))
+        assert main([base, str(cur)]) == 0
+        out = capsys.readouterr().out
+        assert "retired fsai_setup" in out and "PASS" in out
 
     def test_tolerance_flag(self, tmp_path, monkeypatch):
         monkeypatch.delenv(TOLERANCE_ENV, raising=False)

@@ -16,11 +16,13 @@ import pytest
 
 from repro.collection.generators.fd import poisson2d
 from repro.errors import (
+    ServiceClosedError,
     ShapeError,
     UnknownOperatorError,
     WorkerCrashedError,
 )
 from repro.serve import MultiProcessClient, shard_for
+from repro.serve import pool as pool_module
 from repro.serve.pool import _portable_exception
 
 
@@ -119,6 +121,48 @@ class TestPoolServing:
             snap = client.snapshot()
             assert snap["solved"] == 1
             assert snap["shm"]["published"] == 1
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("command queue is closed")
+
+
+class TestRegisterFailure:
+    """``register`` must not report an attach the shard never received."""
+
+    def test_refused_attach_raises_and_retry_succeeds(self, monkeypatch):
+        a = poisson2d(8)
+        with MultiProcessClient(1, window_seconds=0.005) as client:
+            queue = client._workers[0].cmd_queue
+            monkeypatch.setattr(pool_module, "MONITOR_INTERVAL", 0.001)
+            monkeypatch.setattr(queue, "put", _refuse)
+            with pytest.raises(WorkerCrashedError) as info:
+                client.register(a)
+            assert info.value.shard == 0 and info.value.retryable
+            monkeypatch.undo()
+            # The spec stays in the attach manifest: once the shard is
+            # respawned its replay attaches it, and the retry succeeds.
+            os.kill(client._workers[0].process.pid, signal.SIGKILL)
+            assert _wait_until(lambda: client.respawns == 1)
+            fp = client.register(a)
+            assert client.solve(fp, _rhs(a, 1), rtol=1e-8).converged
+
+    def test_refused_attach_while_closing_is_service_closed(
+        self, monkeypatch
+    ):
+        a = poisson2d(8)
+        with MultiProcessClient(1, window_seconds=0.005) as client:
+            queue = client._workers[0].cmd_queue
+
+            def refuse_and_close(*args, **kwargs):
+                client._closing = True
+                raise ValueError("command queue is closed")
+
+            monkeypatch.setattr(pool_module, "MONITOR_INTERVAL", 0.001)
+            monkeypatch.setattr(queue, "put", refuse_and_close)
+            with pytest.raises(ServiceClosedError):
+                client.register(a)
+            monkeypatch.undo()
 
 
 class TestChaosRespawn:

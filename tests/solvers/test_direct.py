@@ -4,62 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import NotSPDError, ShapeError
-from repro.solvers.direct import (
-    cholesky_factor,
-    solve_lower_triangular,
-    solve_spd,
-    solve_spd_batched,
-    solve_upper_triangular,
-)
+from repro.solvers.direct import solve_spd
 from tests.conftest import random_spd_dense
-
-
-class TestCholesky:
-    def test_factorisation(self):
-        a = random_spd_dense(8, seed=1)
-        L = cholesky_factor(a)
-        assert np.allclose(L @ L.T, a)
-        assert np.allclose(L, np.tril(L))
-
-    def test_matches_lapack(self):
-        a = random_spd_dense(10, seed=2)
-        assert np.allclose(cholesky_factor(a), np.linalg.cholesky(a))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotSPDError, match="pivot"):
-            cholesky_factor(np.diag([1.0, -1.0]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeError):
-            cholesky_factor(np.ones((2, 3)))
-
-    def test_1x1(self):
-        assert cholesky_factor(np.array([[4.0]]))[0, 0] == 2.0
-
-
-class TestTriangularSolves:
-    def test_forward(self, rng):
-        L = np.tril(rng.standard_normal((6, 6))) + 6 * np.eye(6)
-        b = rng.standard_normal(6)
-        assert np.allclose(L @ solve_lower_triangular(L, b), b)
-
-    def test_backward(self, rng):
-        U = np.triu(rng.standard_normal((6, 6))) + 6 * np.eye(6)
-        b = rng.standard_normal(6)
-        assert np.allclose(U @ solve_upper_triangular(U, b), b)
-
-    def test_shape_checks(self):
-        with pytest.raises(ShapeError):
-            solve_lower_triangular(np.eye(3), np.ones(2))
-        with pytest.raises(ShapeError):
-            solve_upper_triangular(np.eye(3), np.ones(2))
-
-    def test_combined_solves_spd(self, rng):
-        a = random_spd_dense(7, seed=3)
-        b = rng.standard_normal(7)
-        L = cholesky_factor(a)
-        x = solve_upper_triangular(L.T, solve_lower_triangular(L, b))
-        assert np.allclose(a @ x, b)
 
 
 class TestSolveSPD:
@@ -78,34 +24,3 @@ class TestSolveSPD:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             solve_spd(np.eye(3), np.ones(4))
-
-
-class TestBatched:
-    def test_mixed_sizes_order_preserved(self, rng):
-        systems, rhs = [], []
-        for k in (3, 7, 3, 5, 7, 1):
-            systems.append(random_spd_dense(k, seed=k))
-            rhs.append(rng.standard_normal(k))
-        outs = solve_spd_batched(systems, rhs)
-        for a, b, x in zip(systems, rhs, outs):
-            assert np.allclose(a @ x, b, atol=1e-9)
-
-    def test_matches_single(self, rng):
-        a = random_spd_dense(6, seed=9)
-        b = rng.standard_normal(6)
-        batched = solve_spd_batched([a], [b])[0]
-        assert np.allclose(batched, solve_spd(a, b))
-
-    def test_empty_system_in_batch(self):
-        outs = solve_spd_batched([np.zeros((0, 0))], [np.zeros(0)])
-        assert outs[0].shape == (0,)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            solve_spd_batched([np.eye(2)], [])
-
-    def test_names_offending_system(self):
-        good = random_spd_dense(3, seed=1)
-        bad = np.diag([1.0, -1.0, 1.0])
-        with pytest.raises(NotSPDError, match="system 1"):
-            solve_spd_batched([good, bad], [np.ones(3), np.ones(3)])

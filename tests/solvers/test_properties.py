@@ -2,7 +2,8 @@
 
 Random SPD systems of varying conditioning: CG must terminate within n
 iterations (exact arithmetic bound, with roundoff slack), FSAI-PCG must
-converge and produce the same solution, Cholesky must reproduce LAPACK.
+converge and produce the same solution, the dense SPD solve must leave a
+small residual.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.fsai.extended import setup_fsai
 from repro.solvers.cg import cg, pcg
-from repro.solvers.direct import cholesky_factor, solve_spd
+from repro.solvers.direct import solve_spd
 from repro.sparse.construct import csr_from_dense
 
 
@@ -70,14 +71,6 @@ class TestCGProperties:
 
 
 class TestDirectProperties:
-    @given(spd_systems())
-    @settings(max_examples=60, deadline=None)
-    def test_cholesky_reconstructs(self, system):
-        a, _ = system
-        L = cholesky_factor(a)
-        scale = np.abs(a).max()
-        assert np.abs(L @ L.T - a).max() <= 1e-10 * scale
-
     @given(spd_systems())
     @settings(max_examples=60, deadline=None)
     def test_solve_spd_residual(self, system):

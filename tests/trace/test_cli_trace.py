@@ -55,6 +55,24 @@ class TestTraceCli:
         assert doc["counter_totals"]["cg.iterations"] > 0
         assert doc["counter_totals"]["pattern.final_nnz"] > 0
 
+    def test_setup_ops_trace_one_span_per_call(self, cli_run):
+        """The exact setup and the §5 precalc each open one span per call,
+        stamped with the kernel backend and its thread count."""
+        _, json_path, _ = cli_run
+        summary = TraceSummary.from_dict(json.loads(json_path.read_text()))
+        names = [s.name for s in summary.iter_spans()]
+        assert "fsai_setup" not in names
+        setup_spans = [
+            s for s in summary.iter_spans()
+            if s.name in ("fsai.frobenius", "fsai.precalc")
+        ]
+        assert {s.name for s in setup_spans} == {
+            "fsai.frobenius", "fsai.precalc",
+        }
+        for span in setup_spans:
+            assert not span.children
+            assert {"backend", "threads"} <= set(span.attrs)
+
     def test_phase_times_cover_wall_within_5pct(self, cli_run):
         """The CLI reports its own wall-vs-span coverage; enforce >= 95%."""
         _, json_path, _ = cli_run
