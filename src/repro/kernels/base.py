@@ -270,14 +270,14 @@ class KernelBackend(ABC):
         return 1
 
     def _fsai_setup_build(
-        self, keys, a_data, n_cols, indptr, indices, rows_parts, group, K,
+        self, a, low_end, indptr, indices, rows_parts, group, K,
     ) -> np.ndarray:
-        # Default: vectorized packed lower-triangle gather via one
-        # searchsorted over all k(k+1)/2 queries per bucket.  Gathered
-        # values are exact copies of a_data (or exact 0.0), so any
-        # override is automatically bit-compatible.
+        # Default: the vectorized packed lower-triangle gather (row walk,
+        # or pair probe where the walk would examine more entries).
+        # Gathered values are exact copies of a.data (or exact +0.0), so
+        # any override is automatically bit-compatible.
         return gather_group_stack(
-            keys, a_data, n_cols, indptr, indices, rows_parts, group, K,
+            a, low_end, indptr, indices, rows_parts, group, K,
         )
 
     def _fsai_setup_solve(self, systems: np.ndarray) -> np.ndarray:

@@ -476,12 +476,15 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled paths need numba
             )
             return x_next
 
-        def _fsai_setup_build(self, keys, a_data, n_cols, indptr, indices,
+        def _fsai_setup_build(self, a, low_end, indptr, indices,
                               rows_parts, group, K) -> np.ndarray:
+            # Per-pair binary search, one system per prange thread.  The
+            # values are exact copies of a.data, so the stacks equal the
+            # shared row-walk gather's byte for byte.
             rows = (np.concatenate(rows_parts) if rows_parts
                     else np.empty(0, dtype=np.int64))
             systems = np.zeros((K, K, len(rows)))
-            _fsai_gather_kernel(keys[:-1], a_data, np.int64(n_cols),
+            _fsai_gather_kernel(a.entry_keys(), a.data, np.int64(a.n_cols),
                                 indptr, indices, rows, systems)
             return systems
 

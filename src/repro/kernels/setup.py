@@ -6,12 +6,19 @@ FSAI setup solves one small dense SPD system per pattern row
 ideas, all chosen so that every backend produces **byte-identical** CSR
 data:
 
-* **Packed lower-triangle gather** — the solver touches only the lower
-  triangle of each (symmetric) local system, so the gather looks up
-  ``k(k+1)/2`` entries per row instead of ``k²``, each found by binary
-  search in the matrix's sorted :meth:`~repro.sparse.csr.CSRMatrix
-  .entry_keys`.  Gathered values are exact copies of ``A``'s data (or an
-  exact ``0.0``), so *how* a backend searches cannot change a single bit.
+* **Packed lower-triangle gather, by row walk** — the solver touches
+  only the lower triangle of each (symmetric) local system.  Slot ``p``
+  of system ``s`` walks the lower part of ``A``'s row ``S_s[p]`` and
+  keeps the entries whose column lies in ``S_s`` (one ``searchsorted``
+  into the row-length part's own ``(s, column)`` keys), which examines
+  far fewer entries than testing all ``k(k+1)/2`` pairs against ``A``.
+  The input bounds the walk: a part whose rows of ``A`` hold more lower
+  entries than its pairs (``Σ lowlen > m·k(k+1)/2`` — a dense row of
+  ``A``, say) binary-searches each pair in the matrix's sorted
+  :meth:`~repro.sparse.csr.CSRMatrix.entry_keys` instead, so the gather
+  never examines more than the pair probe would.  Gathered values are
+  exact copies of ``A``'s data (or an exact ``+0.0``), so *how* a backend
+  gathers cannot change a single bit.
 * **Identity-padded grouping** — row-length buckets are greedily merged
   (:func:`plan_groups`) until a group holds ``MIN_GROUP_ROWS`` systems or
   padding would exceed ``PAD_CAP``; smaller systems sit in the bottom-right
@@ -51,12 +58,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro import trace
 from repro.errors import NotSPDError
 
 __all__ = [
     "MIN_GROUP_ROWS",
     "PAD_CAP",
     "plan_groups",
+    "lower_ends",
     "gather_group_stack",
     "solve_group_stack",
     "run_fsai_setup",
@@ -113,10 +122,20 @@ def plan_groups(
     return groups
 
 
+def lower_ends(a) -> np.ndarray:
+    """End offset of the lower part (columns ``<= row``) of each CSR row.
+
+    ``a.indptr[r]:lower_ends(a)[r]`` is the slice of row ``r`` the row
+    walk of :func:`gather_group_stack` examines.
+    """
+    ids = a.row_ids()
+    low = np.bincount(ids[a.indices <= ids], minlength=a.n_rows)
+    return a.indptr[:-1] + low
+
+
 def gather_group_stack(
-    keys: np.ndarray,
-    a_data: np.ndarray,
-    n_cols: int,
+    a,
+    low_end: np.ndarray,
     indptr: np.ndarray,
     indices: np.ndarray,
     rows_parts: Sequence[np.ndarray],
@@ -125,31 +144,83 @@ def gather_group_stack(
 ) -> np.ndarray:
     """Vectorized build of one group's ``(K, K, m)`` lower stack.
 
-    ``keys`` is the matrix's sorted row-major entry keys with a ``-1``
-    sentinel appended (so ``searchsorted`` results can be probed without
-    bound checks); only the lower triangle of each local system is
-    gathered, and systems smaller than ``K`` are identity-padded in the
-    top-left corner.  Pattern indices are valid by construction
-    (``_check_diagonals`` ran upstream), so no bound checking is needed.
+    Only the lower triangle of each local system is gathered, and systems
+    smaller than ``K`` are identity-padded in the top-left corner.  Each
+    row-length part takes the cheaper of two gathers, judged by the
+    number of ``A`` entries each would examine:
+
+    * **row walk** (``Σ lowlen ≤ m·k(k+1)/2``): slot ``p`` of system
+      ``s`` walks the lower part of ``A``'s row ``S_s[p]``
+      (``a.indptr[r]:low_end[r]``, from :func:`lower_ends`) and keeps
+      the entries whose column is in ``S_s``, found by one
+      ``searchsorted`` into the part's own sorted ``(s, column)`` keys;
+    * **pair probe** (otherwise, e.g. when the part's slots include a
+      dense row of ``A``): each of the ``k(k+1)/2`` pairs is
+      binary-searched in ``A``'s global
+      :meth:`~repro.sparse.csr.CSRMatrix.entry_keys`.
+
+    Both store exact copies of ``a.data`` and leave every other entry at
+    the zeroed ``+0.0``, so the choice never changes a bit.  Pattern rows
+    must be sorted with the diagonal last (``_check_diagonals`` ran
+    upstream); no further bound checking is needed.  While tracing, the
+    entries examined and stored are counted as
+    ``fsai.gather_candidates`` and ``fsai.gather_hits``.
     """
     m_tot = sum(len(rows) for rows in rows_parts)
     systems = np.zeros((K, K, m_tot))
+    flat = systems.reshape(-1)
+    a_ptr, a_cols, a_data = a.indptr, a.indices, a.data
+    n_cols = np.int64(a.n_cols)
+    candidates = hits = 0
     r0 = 0
     for k, rows in zip(group, rows_parts):
-        r1 = r0 + len(rows)
-        starts = indptr[rows]
-        cols_t = indices[starts[:, None] + np.arange(k)].T  # (k, m)
-        ia, ib = _tril_pairs(k)
-        query = cols_t[ia] * n_cols + cols_t[ib]  # (k(k+1)/2, m)
-        pos = np.searchsorted(keys[:-1], query)
-        hit = keys[pos] == query
-        vals = np.where(hit, a_data[np.minimum(pos, len(keys) - 2)], 0.0)
+        m = len(rows)
+        r1 = r0 + m
         pad = K - k
-        systems[pad + ia, pad + ib, r0:r1] = vals
         if pad:
             diag = np.arange(pad)
             systems[diag, diag, r0:r1] = 1.0
+        cols = indices[indptr[rows][:, None] + np.arange(k)]  # (m, k)
+        lo = a_ptr[cols].ravel()
+        lens = low_end[cols].ravel() - lo
+        walked = int(lens.sum())
+        pairs = m * k * (k + 1) // 2
+        if walked <= pairs:
+            # Candidate e sits in slot ``slot[e] = s*k + p``; its position
+            # in A runs over the concatenated segments lo[slot]:low_end.
+            slot = np.repeat(np.arange(m * k), lens)
+            pos = np.arange(walked) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+            sys_keys = (np.arange(m)[:, None] * n_cols + cols).ravel()
+            query = (slot // k) * n_cols + a_cols[pos]
+            at = np.searchsorted(sys_keys, query)
+            np.minimum(at, len(sys_keys) - 1, out=at)
+            keep = np.flatnonzero(sys_keys[at] == query)
+            # Hit (s, p) -> (s, q) with q = at % k; row-major flat index
+            # of systems[pad + p, pad + q, r0 + s].
+            slot, at = slot[keep], at[keep]
+            s = slot // k
+            flat[((pad + slot - s * k) * K + pad + at - s * k) * m_tot + r0 + s] = (
+                a_data[pos[keep]]
+            )
+            candidates += walked
+            hits += len(keep)
+        else:
+            # walked > pairs >= 1, so A has entries and keys is non-empty.
+            keys = a.entry_keys()
+            ia, ib = _tril_pairs(k)
+            cols_t = cols.T
+            query = cols_t[ia] * n_cols + cols_t[ib]  # (k(k+1)/2, m)
+            at = np.searchsorted(keys, query)
+            np.minimum(at, len(keys) - 1, out=at)
+            hit = keys[at] == query
+            systems[pad + ia, pad + ib, r0:r1] = np.where(hit, a_data[at], 0.0)
+            candidates += pairs
+            if trace.enabled():
+                hits += int(np.count_nonzero(hit))
         r0 = r1
+    if trace.enabled():
+        trace.add_counter("fsai.gather_candidates", candidates)
+        trace.add_counter("fsai.gather_hits", hits)
     return systems
 
 
@@ -212,17 +283,13 @@ def run_fsai_setup(backend, a, pattern, lengths=None) -> np.ndarray:
     nnz = int(indptr[-1])
     data = np.empty(nnz)
     pivots = np.empty(n_rows)
-    keys = np.concatenate(
-        [a.entry_keys(), np.asarray([-1], dtype=np.int64)]
-    )
-    n_cols = np.int64(a.n_cols)
+    low_end = lower_ends(a)
     sizes, counts = np.unique(lengths, return_counts=True)
     for group in plan_groups(sizes.tolist(), counts.tolist()):
         K = group[-1]
         rows_parts = [np.flatnonzero(lengths == k) for k in group]
         systems = backend._fsai_setup_build(
-            keys, a.data, n_cols, indptr, pattern.indices,
-            rows_parts, group, K,
+            a, low_end, indptr, pattern.indices, rows_parts, group, K,
         )
         sol = backend._fsai_setup_solve(systems)  # (K, m)
         piv = sol[-1]

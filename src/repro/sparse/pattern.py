@@ -139,13 +139,14 @@ class Pattern:
                 raise PatternError("row index out of range")
             if col.min() < 0 or col.max() >= n_cols:
                 raise PatternError("col index out of range")
-        # Sort lexicographically by (row, col) then drop duplicates.
-        order = np.lexsort((col, row))
-        row, col = row[order], col[order]
-        if len(row):
-            keep = np.ones(len(row), dtype=bool)
-            keep[1:] = (np.diff(row) != 0) | (np.diff(col) != 0)
-            row, col = row[keep], col[keep]
+            # Sorting the row-major key sorts by (row, col); equal
+            # neighbours are duplicate pairs.
+            key = np.sort(row * np.int64(n_cols) + col)
+            keep = np.ones(len(key), dtype=bool)
+            keep[1:] = key[1:] != key[:-1]
+            key = key[keep]
+            row = key // n_cols
+            col = key - row * n_cols
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
         return cls(n_rows, n_cols, indptr, col, _validated=True)

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import trace
+from repro.arch.address import ArrayPlacement
 from repro.collection.generators.fd import poisson2d
 from repro.collection.suite import get_case
 from repro.errors import ConfigurationError, NotSPDError
@@ -27,17 +29,20 @@ from repro.fsai.frobenius import (
     precalculate_g,
     resolve_setup_backend,
 )
+from repro.fsai.fillin import extend_pattern_cache_friendly
 from repro.fsai.patterns import fsai_initial_pattern
 from repro.kernels import ENV_VAR, available_backends, get_backend, use_backend
 from repro.kernels.setup import (
     MIN_GROUP_ROWS,
     PAD_CAP,
     gather_group_stack,
+    lower_ends,
     plan_groups,
     solve_group_stack,
 )
 from repro.solvers.direct import solve_spd
-from repro.sparse.construct import csr_from_dense
+from repro.sparse.construct import csr_from_coo_arrays, csr_from_dense
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
 
 from tests.conftest import random_spd_dense
@@ -232,22 +237,177 @@ class TestPlanGroups:
         np.testing.assert_array_equal(embedded[:pad], 0.0)
 
 
-def test_gather_matches_dense_restriction():
-    a = poisson2d(6)
-    pattern = _tril_pattern_of(a)
-    lengths = np.diff(pattern.indptr)
-    keys = np.concatenate([a.entry_keys(), np.asarray([-1], dtype=np.int64)])
-    k = int(lengths.max())
-    rows = np.flatnonzero(lengths == k)
-    systems = gather_group_stack(
-        keys, a.data, np.int64(a.n_cols), pattern.indptr, pattern.indices,
-        [rows], [k], k,
+# ----------------------------------------------------------------------
+# The shared gather: exact copies, both sides of the walk/probe bound
+# ----------------------------------------------------------------------
+
+
+def _bordered_spd(n, border):
+    """Tridiagonal SPD plus a dense row and column ``border``.
+
+    The lower part of row ``border`` holds ``border + 1`` entries, and
+    every later pattern row contains column ``border`` — so an unbounded
+    row walk would examine all of them once per system.
+    """
+    i = np.arange(n)
+    j = i[:-1][(i[:-1] != border) & (i[1:] != border)]
+    others = np.delete(i, border)
+    rows = np.concatenate([i, j + 1, j, np.full(n - 1, border), others])
+    cols = np.concatenate([i, j, j + 1, others, np.full(n - 1, border)])
+    diag = np.full(n, 4.0)
+    diag[border] = float(n)
+    vals = np.concatenate([diag, -np.ones(2 * len(j)), np.full(2 * (n - 1), 0.01)])
+    return csr_from_coo_arrays(n, n, rows, cols, vals)
+
+
+def _signed_zeros():
+    """``poisson2d(8)`` with symmetric off-diagonal pairs stored as explicit
+    ``-0.0`` and ``+0.0`` — the gather must copy both signs exactly."""
+    a = poisson2d(8)
+    rows = a.row_ids()
+    off = rows != a.indices
+    pick = np.minimum(rows, a.indices) % 3
+    data = a.data.copy()
+    data[off & (pick == 0)] = -0.0
+    data[off & (pick == 1)] = 0.0
+    return CSRMatrix(a.n_rows, a.n_cols, a.indptr, a.indices, data)
+
+
+def _fsaie_sp_pattern(a):
+    return extend_pattern_cache_friendly(
+        _tril_pattern_of(a), ArrayPlacement.aligned(64)
     )
+
+
+def _fsaie_full_pattern(a):
+    placement = ArrayPlacement.aligned(64)
+    ext_t = extend_pattern_cache_friendly(
+        _fsaie_sp_pattern(a).transpose(), placement, triangular="upper"
+    )
+    return ext_t.transpose()
+
+
+def _gather_all(a, pattern):
+    """Every system's gathered slice (keyed by pattern row) from the shared
+    gather, over the driver's own group plan, plus its trace counters."""
+    lengths = np.diff(pattern.indptr)
+    low_end = lower_ends(a)
+    sizes, counts = np.unique(lengths, return_counts=True)
+    slices = {}
+    with trace.collecting() as collector:
+        for group in plan_groups(sizes.tolist(), counts.tolist()):
+            K = group[-1]
+            rows_parts = [np.flatnonzero(lengths == k) for k in group]
+            systems = gather_group_stack(
+                a, low_end, pattern.indptr, pattern.indices,
+                rows_parts, group, K,
+            )
+            for s, i in enumerate(np.concatenate(rows_parts)):
+                slices[int(i)] = systems[:, :, s]
+    return slices, trace.TraceSummary.from_collector(collector).counter_totals()
+
+
+def _sides(a, pattern):
+    """Which gather each row-length part of two or more slots takes under
+    the documented bound ``Σ lowlen ≤ m·k(k+1)/2``."""
+    lowlen = lower_ends(a) - a.indptr[:-1]
+    lengths = np.diff(pattern.indptr)
+    sides = set()
+    for k in np.unique(lengths[lengths > 1]):
+        rows = np.flatnonzero(lengths == k)
+        slots = pattern.indices[pattern.indptr[rows][:, None] + np.arange(k)]
+        walked = lowlen[slots].sum()
+        sides.add("walk" if walked <= len(rows) * k * (k + 1) // 2 else "probe")
+    return sides
+
+
+GATHER_CASES = [
+    ("fsai_poisson6", lambda: poisson2d(6), _tril_pattern_of, {"probe"}),
+    ("fsaie_sp_suite24", lambda: get_case(24).build(), _fsaie_sp_pattern,
+     {"walk", "probe"}),
+    ("fsaie_full_suite24", lambda: get_case(24).build(), _fsaie_full_pattern,
+     {"walk"}),
+    ("fsaie_full_poisson16", lambda: poisson2d(16), _fsaie_full_pattern,
+     {"walk"}),
+    ("n1", lambda: csr_from_dense(np.array([[4.0]])), _tril_pattern_of, set()),
+    ("bordered", lambda: _bordered_spd(2000, 200), _tril_pattern_of,
+     {"walk", "probe"}),
+    ("signed_zeros_fsai", _signed_zeros, _tril_pattern_of, {"probe"}),
+    ("signed_zeros_fsaie_sp", _signed_zeros, _fsaie_sp_pattern, {"walk"}),
+]
+
+
+@pytest.mark.parametrize(
+    "build,make_pattern,sides",
+    [case[1:] for case in GATHER_CASES],
+    ids=[case[0] for case in GATHER_CASES],
+)
+def test_gather_matches_dense_restriction(build, make_pattern, sides):
+    """Each gathered system is byte-equal to the lower triangle of the dense
+    restriction ``A[S_i, S_i]``, identity-padded top-left to its group's
+    ``K`` — on the row-walk side, the pair-probe side and across
+    multi-size groups.  ``tobytes()`` pins the sign of every zero: stored
+    ``±0.0`` entries are copied, absent ones read ``+0.0``."""
+    a = build()
+    pattern = make_pattern(a)
+    assert _sides(a, pattern) == sides
+    slices, counters = _gather_all(a, pattern)
     dense = a.to_dense()
-    for s, i in enumerate(rows):
-        cols = pattern.row(int(i))
-        local = np.tril(dense[np.ix_(cols, cols)])
-        np.testing.assert_array_equal(systems[:, :, s], local)
+    padded = 0
+    for i, got in slices.items():
+        cols = pattern.row(i)
+        K, k = got.shape[0], len(cols)
+        expected = np.zeros((K, K))
+        expected[np.arange(K - k), np.arange(K - k)] = 1.0
+        expected[K - k:, K - k:] = np.tril(dense[np.ix_(cols, cols)])
+        assert got.tobytes() == expected.tobytes(), f"row {i}"
+        padded += K > k
+    assert len(slices) == a.n_rows
+    if len(np.unique(np.diff(pattern.indptr))) > 2:
+        assert padded, "expected identity-padded multi-size groups"
+    pair_keys = np.concatenate([
+        np.add.outer(cols * a.n_cols, cols)[np.tril_indices(len(cols))]
+        for cols in map(pattern.row, range(a.n_rows))
+    ])
+    stored = np.count_nonzero(np.isin(pair_keys, a.entry_keys()))
+    assert counters["fsai.gather_hits"] == stored
+
+
+def _pairs_total(pattern):
+    k = np.diff(pattern.indptr)
+    return int((k * (k + 1) // 2).sum())
+
+
+def test_gather_bound_keeps_bordered_matrix_on_probe_side():
+    """A dense row and column near the top: walking every row would
+    examine >10x the ``Σ k(k+1)/2`` pairs, the bounded gather never more."""
+    a = _bordered_spd(20000, 2000)
+    pattern = _tril_pattern_of(a)
+    lowlen = lower_ends(a) - a.indptr[:-1]
+    unbounded = int(lowlen[pattern.indices].sum())
+    pairs = _pairs_total(pattern)
+    assert unbounded > 10 * pairs
+    _, counters = _gather_all(a, pattern)
+    assert counters["fsai.gather_candidates"] <= pairs
+    assert counters["fsai.gather_hits"] <= counters["fsai.gather_candidates"]
+
+
+def test_gather_counters_on_quick_case_37():
+    """Both ops gather through the shared gather on the numpy backend;
+    while tracing they record at most ``Σ k(k+1)/2`` candidates each."""
+    a = get_case(37).build()
+    pattern = _fsaie_sp_pattern(a)
+    backend = get_backend("numpy")
+    with trace.collecting() as collector:
+        backend.fsai_setup(a, pattern)
+        backend.fsai_precalc(
+            a, pattern, rtol=DEFAULT_PRECALC_RTOL,
+            max_iterations=DEFAULT_PRECALC_ITERATIONS,
+        )
+    counters = trace.TraceSummary.from_collector(collector).counter_totals()
+    candidates = counters["fsai.gather_candidates"]
+    assert 0 < candidates <= 2 * _pairs_total(pattern)
+    assert 0 < counters["fsai.gather_hits"] <= candidates
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PatternError, ShapeError
 from repro.sparse.pattern import Pattern
@@ -14,6 +16,20 @@ def tri_pattern():
         np.array([0, 1, 1, 2, 3, 3]),
         np.array([0, 0, 1, 2, 1, 3]),
     )
+
+
+@st.composite
+def _coo_inputs(draw):
+    """Unsorted COO pairs with repeats, over narrow and very wide shapes."""
+    n_rows = draw(st.integers(1, 16))
+    n_cols = draw(st.one_of(st.just(1), st.integers(1, 16), st.integers(1, 2**31)))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        max_size=60,
+    ))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=20))
+    return n_rows, n_cols, [r for r, _ in pairs], [c for _, c in pairs]
 
 
 class TestConstruction:
@@ -41,6 +57,29 @@ class TestConstruction:
             Pattern.from_coo(2, 2, np.array([2]), np.array([0]))
         with pytest.raises(PatternError):
             Pattern.from_coo(2, 2, np.array([0]), np.array([5]))
+
+    @given(_coo_inputs())
+    @example((3, 4, [], []))
+    @example((5, 1, [4, 0, 4, 2, 0], [0, 0, 0, 0, 0]))
+    @settings(max_examples=150, deadline=None)
+    def test_from_coo_matches_lexsort_reference(self, case):
+        """One row-major key sort gives exactly the ``np.lexsort`` + dedup
+        result on unsorted, duplicated, empty and single-column input."""
+        n_rows, n_cols, row, col = case
+        row = np.asarray(row, dtype=np.int64)
+        col = np.asarray(col, dtype=np.int64)
+        order = np.lexsort((col, row))
+        r, c = row[order], col[order]
+        keep = np.ones(len(r), dtype=bool)
+        keep[1:] = (np.diff(r) != 0) | (np.diff(c) != 0)
+        r, c = r[keep], c[keep]
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(r, minlength=n_rows), out=indptr[1:])
+        p = Pattern.from_coo(n_rows, n_cols, row, col)
+        assert p.indptr.dtype == p.indices.dtype == np.int64
+        np.testing.assert_array_equal(p.indptr, indptr)
+        np.testing.assert_array_equal(p.indices, c)
+        assert p == Pattern(n_rows, n_cols, indptr, c)
 
     def test_from_dense_mask(self):
         mask = np.array([[True, False], [True, True]])
