@@ -47,7 +47,6 @@ from repro.cachesim.stackdist import (
     profile_stack_distances,
     stack_distances,
 )
-from repro.cachesim.prefetch import PrefetchingCache, PrefetchStats
 
 __all__ = [
     "CACHE_BACKENDS",
@@ -74,6 +73,4 @@ __all__ = [
     "StackDistanceProfile",
     "profile_stack_distances",
     "stack_distances",
-    "PrefetchingCache",
-    "PrefetchStats",
 ]

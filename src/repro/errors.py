@@ -44,7 +44,8 @@ class ConvergenceError(ReproError, RuntimeError):
 
 
 class MatrixFormatError(ReproError, ValueError):
-    """A serialized matrix (e.g. Matrix Market text) could not be parsed."""
+    """Malformed matrix input: unparseable serialized text (e.g. Matrix
+    Market) or non-finite values."""
 
 
 class ConfigurationError(ReproError, ValueError):

@@ -7,52 +7,55 @@ extension is **complementary to any of them**.  This module provides a
 from-scratch FSPAI-style adaptive pattern builder so that claim can be
 exercised:
 
-* :func:`adaptive_pattern` — per-row greedy pattern growth.  Starting from
-  ``J = {i}``, repeatedly solve the local system ``A[J,J] ĝ = e_i`` and add
-  the admissible candidate ``j ∉ J`` (a graph neighbour of ``J`` with
-  ``j < i``) with the largest normalised residual
-  ``|A[j,J] ĝ| / sqrt(a_jj)`` — the first-order decrease of the Kaporin /
-  Frobenius functional — until the residual falls below ``tolerance`` or
+* :func:`adaptive_pattern` — greedy pattern growth.  Starting from
+  ``S_i = {i}``, each row repeatedly solves its local system
+  ``A[S_i,S_i] ĝ_i = e_i`` and adds the admissible candidate
+  ``j ∉ S_i``, ``j < i`` with the largest normalised residual
+  ``|(ĝ_i A)_j| / sqrt(a_jj)`` — the first-order decrease of the Kaporin /
+  Frobenius functional — until that residual is at most ``tolerance`` or
   the per-row budget is exhausted.
 * :func:`setup_fspai` — exact ``G`` on the adaptive pattern.
 * :func:`setup_fspai_cache_extended` — the composition: adaptive pattern →
   cache-friendly extension → precalculation filtering → exact ``G``
   (the §9 "complementary to any numerical strategy" pipeline).
+
+Batched growth
+--------------
+Rows grow independently, so one growth step serves every still-growing
+row (the batched residual-driven selection of Jia & Kang):
+
+1. :func:`~repro.fsai.frobenius.compute_g` on the current pattern, with
+   stopped rows cut to their diagonal;
+2. ``ĝ_i = G_ii · G_i``, since ``G_i = ĝ_i / sqrt(ĝ_ii)`` makes
+   ``G_ii = sqrt(ĝ_ii)``;
+3. one backend ``spgemm(Ĝ, A)``, whose structure is the candidate set;
+4. one ``np.lexsort`` for the picks: score descending, exact ties to the
+   largest column.
+
+The result is the per-row greedy loop's pattern up to ulp-level ties.
+Where two scores agree to the last bits, the batched Cholesky's rounding
+and the SpGEMM summation order decide the pick; a dense solve may round
+the other way.
 """
 
 from __future__ import annotations
 
-from typing import Set
-
 import numpy as np
 
+from repro import trace
 from repro.arch.address import ArrayPlacement
-from repro.errors import NotSPDError, ShapeError
-from repro.fsai.extended import FSAISetup
-from repro.fsai.fillin import extend_pattern_cache_friendly
-from repro.fsai.filtering import filter_extension_by_precalc
+from repro.fsai.extended import FSAISetup, _extend_filter_exact
 from repro.fsai.frobenius import (
+    _resolve_setup_backend,
     compute_g,
-    precalculate_g,
     setup_flops_direct,
-    setup_flops_precalc,
 )
 from repro.fsai.precond import FSAIApplication
-from repro.solvers.direct import solve_spd
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
+from repro.sparse.validate import require_positive_diagonal
 
 __all__ = ["adaptive_pattern", "setup_fspai", "setup_fspai_cache_extended"]
-
-
-def _row_candidates(a: CSRMatrix, support: Set[int], i: int) -> np.ndarray:
-    """Graph neighbours of the support, restricted to the lower triangle."""
-    cand: Set[int] = set()
-    for k in support:
-        cols, _ = a.row(k)
-        cand.update(int(c) for c in cols if c <= i)
-    cand -= support
-    return np.fromiter(sorted(cand), dtype=np.int64, count=len(cand))
 
 
 def adaptive_pattern(
@@ -60,9 +63,8 @@ def adaptive_pattern(
     *,
     max_new_per_row: int = 8,
     tolerance: float = 1e-2,
-    candidates_per_step: int = 1,
 ) -> Pattern:
-    """FSPAI-style adaptive lower-triangular pattern.
+    """FSPAI-style adaptive lower-triangular pattern (batched growth).
 
     Parameters
     ----------
@@ -72,49 +74,41 @@ def adaptive_pattern(
         Budget of adaptively added entries per row (dynamic methods trade
         preprocessing cost for pattern quality; the budget bounds it).
     tolerance:
-        Stop growing a row when the best candidate's normalised residual
-        drops below this value.
-    candidates_per_step:
-        Entries added per growth step (>1 amortises the local re-solve,
-        the batched variant used by practical FSPAI codes).
+        Stop growing a row when its best candidate's normalised residual
+        is at most this value.
     """
-    if a.n_rows != a.n_cols:
-        raise ShapeError("adaptive_pattern requires a square matrix")
-    if max_new_per_row < 0 or candidates_per_step < 1:
+    require_positive_diagonal(a)
+    if max_new_per_row < 0:
         raise ValueError("invalid growth budget")
-    diag = a.diagonal()
-    if np.any(diag <= 0):
-        raise NotSPDError("adaptive pattern requires a positive diagonal")
-
-    rows = []
-    for i in range(a.n_rows):
-        support: Set[int] = {i}
-        budget = max_new_per_row
-        while budget > 0:
-            J = np.fromiter(sorted(support), dtype=np.int64, count=len(support))
-            local = a.submatrix(J, J)
-            e = np.zeros(len(J))
-            e[int(np.searchsorted(J, i))] = 1.0
-            g_hat = solve_spd(local, e)
-            cand = _row_candidates(a, support, i)
-            if len(cand) == 0:
-                break
-            # Residual r_j = A[j, J] @ ĝ for each candidate, normalised by
-            # sqrt(a_jj) (scale independence, as in the §5 filter).
-            block = a.submatrix(cand, J)
-            scores = np.abs(block @ g_hat) / np.sqrt(diag[cand])
-            order = np.argsort(scores)[::-1]
-            take = [
-                int(cand[k]) for k in order[:candidates_per_step]
-                if scores[k] > tolerance
-            ]
-            if not take:
-                break
-            take = take[: budget]
-            support.update(take)
-            budget -= len(take)
-        rows.append(sorted(support))
-    return Pattern.from_rows(a.n_rows, a.n_cols, rows)
+    n = a.n_rows
+    kb = _resolve_setup_backend(None)
+    scale = np.sqrt(a.diagonal())
+    pattern = Pattern.identity(n)
+    growing = np.ones(n, dtype=bool)
+    steps = 0
+    while steps < max_new_per_row and growing.any():
+        steps += 1
+        rows, cols = pattern.coo()
+        keep = growing[rows] | (rows == cols)  # stopped rows: diagonal only
+        current = Pattern.from_coo(n, n, rows[keep], cols[keep])
+        g = compute_g(a, current, backend=kb.name)
+        g_diag = g.data[current.indptr[1:] - 1]
+        g_hat = CSRMatrix.from_pattern(current, g.data * g_diag[g.row_ids()])
+        resid = kb.spgemm(g_hat, a)
+        rows, cols = resid.row_ids(), resid.indices
+        in_s = np.isin(resid.entry_keys(), current._keys(), assume_unique=True)
+        cand = growing[rows] & (cols < rows) & ~in_s
+        rows, cols = rows[cand], cols[cand]
+        scores = np.abs(resid.data[cand]) / scale[cols]
+        order = np.lexsort((-cols, -scores, rows))
+        best = order[np.unique(rows[order], return_index=True)[1]]
+        best = best[scores[best] > tolerance]
+        growing[:] = False
+        growing[rows[best]] = True
+        pattern = pattern.union(Pattern.from_coo(n, n, rows[best], cols[best]))
+    if trace.enabled():
+        trace.add_counter("fsai.adaptive_steps", steps)
+    return pattern
 
 
 def setup_fspai(
@@ -124,20 +118,22 @@ def setup_fspai(
     tolerance: float = 1e-2,
 ) -> FSAISetup:
     """Exact FSAI factor on an adaptively grown (FSPAI) pattern."""
-    pattern = adaptive_pattern(
-        a, max_new_per_row=max_new_per_row, tolerance=tolerance
-    )
-    g = compute_g(a, pattern)
-    return FSAISetup(
-        method="fspai",
-        application=FSAIApplication(g),
-        base_pattern=pattern,
-        final_pattern=pattern,
-        # The adaptive search re-solves growing local systems; accounting a
-        # direct solve per growth step is a faithful lower bound.
-        flops={"direct": (max_new_per_row + 1) * setup_flops_direct(pattern)},
-        filter_value=None,
-    )
+    with trace.span("fsai.setup", method="fspai", n=a.n_rows):
+        pattern = adaptive_pattern(
+            a, max_new_per_row=max_new_per_row, tolerance=tolerance
+        )
+        g = compute_g(a, pattern)
+        return FSAISetup(
+            method="fspai",
+            application=FSAIApplication(g),
+            base_pattern=pattern,
+            final_pattern=pattern,
+            # The adaptive search re-solves growing local systems;
+            # accounting a direct solve per growth step is a faithful
+            # lower bound.
+            flops={"direct": (max_new_per_row + 1) * setup_flops_direct(pattern)},
+            filter_value=None,
+        )
 
 
 def setup_fspai_cache_extended(
@@ -147,8 +143,6 @@ def setup_fspai_cache_extended(
     max_new_per_row: int = 8,
     tolerance: float = 1e-2,
     filter_value: float = 0.01,
-    precalc_rtol: float = 1e-2,
-    precalc_iterations: int = 20,
 ) -> FSAISetup:
     """Cache-friendly extension on top of the adaptive pattern (§9 claim).
 
@@ -156,24 +150,13 @@ def setup_fspai_cache_extended(
     filtering → exact ``G`` — i.e. the FSAIE(sp) flow with the dynamic
     pattern replacing ``tril(A)``.
     """
-    base = adaptive_pattern(
-        a, max_new_per_row=max_new_per_row, tolerance=tolerance
-    )
-    extended = extend_pattern_cache_friendly(base, placement, triangular="lower")
-    g_approx = precalculate_g(
-        a, extended, rtol=precalc_rtol, max_iterations=precalc_iterations
-    )
-    final = filter_extension_by_precalc(g_approx, base, filter_value)
-    g = compute_g(a, final)
-    return FSAISetup(
-        method="fspai_ext",
-        application=FSAIApplication(g),
-        base_pattern=base,
-        final_pattern=final,
-        flops={
-            "adaptive": (max_new_per_row + 1) * setup_flops_direct(base),
-            "precalc1": setup_flops_precalc(extended, precalc_iterations),
-            "direct": setup_flops_direct(final),
-        },
-        filter_value=filter_value,
-    )
+    with trace.span(
+        "fsai.setup", method="fspai_ext", n=a.n_rows, filter_value=filter_value
+    ):
+        base = adaptive_pattern(
+            a, max_new_per_row=max_new_per_row, tolerance=tolerance
+        )
+        return _extend_filter_exact(
+            a, base, placement, method="fspai_ext", filter_value=filter_value,
+            flops={"adaptive": (max_new_per_row + 1) * setup_flops_direct(base)},
+        )

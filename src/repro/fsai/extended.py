@@ -34,6 +34,8 @@ from repro.arch.address import ArrayPlacement
 from repro.fsai.fillin import extend_pattern_cache_friendly
 from repro.fsai.filtering import filter_extension_by_precalc
 from repro.fsai.frobenius import (
+    DEFAULT_PRECALC_ITERATIONS,
+    DEFAULT_PRECALC_RTOL,
     compute_g,
     precalculate_g,
     setup_flops_direct,
@@ -175,27 +177,44 @@ def setup_fsaie_sp(
     with trace.span(
         "fsai.setup", method="fsaie_sp", n=a.n_rows, filter_value=filter_value
     ):
-        base = _base(a, level, threshold)
-        extended = extend_pattern_cache_friendly(
-            base, placement, triangular="lower"
+        return _extend_filter_exact(
+            a, _base(a, level, threshold), placement, method="fsaie_sp",
+            filter_value=filter_value, precalc_rtol=precalc_rtol,
+            precalc_iterations=precalc_iterations, setup_backend=setup_backend,
         )
-        g_approx = precalculate_g(
-            a, extended, rtol=precalc_rtol, max_iterations=precalc_iterations,
-            backend=setup_backend,
-        )
-        s_ext = filter_extension_by_precalc(g_approx, base, filter_value)
-        g = compute_g(a, s_ext, backend=setup_backend)
-        return FSAISetup(
-            method="fsaie_sp",
-            application=FSAIApplication(g),
-            base_pattern=base,
-            final_pattern=s_ext,
-            flops={
-                "precalc1": setup_flops_precalc(extended, precalc_iterations),
-                "direct": setup_flops_direct(s_ext),
-            },
-            filter_value=filter_value,
-        )
+
+
+def _extend_filter_exact(
+    a: CSRMatrix, base: Pattern, placement: ArrayPlacement, *, method: str,
+    filter_value: float, precalc_rtol: float = DEFAULT_PRECALC_RTOL,
+    precalc_iterations: int = DEFAULT_PRECALC_ITERATIONS,
+    setup_backend: Optional[str] = None, flops: Optional[Dict[str, int]] = None,
+) -> FSAISetup:
+    """FSAIE(sp)'s extend → precalc → filter → exact body on any ``base``.
+
+    ``flops`` holds the caller's earlier ledger phases.  The four stages
+    are this module's globals, looked up per call: perfbench's traced
+    round wraps them here.
+    """
+    extended = extend_pattern_cache_friendly(base, placement, triangular="lower")
+    g_approx = precalculate_g(
+        a, extended, rtol=precalc_rtol, max_iterations=precalc_iterations,
+        backend=setup_backend,
+    )
+    s_ext = filter_extension_by_precalc(g_approx, base, filter_value)
+    g = compute_g(a, s_ext, backend=setup_backend)
+    return FSAISetup(
+        method=method,
+        application=FSAIApplication(g),
+        base_pattern=base,
+        final_pattern=s_ext,
+        flops={
+            **(flops or {}),
+            "precalc1": setup_flops_precalc(extended, precalc_iterations),
+            "direct": setup_flops_direct(s_ext),
+        },
+        filter_value=filter_value,
+    )
 
 
 def setup_fsaie_full(

@@ -46,10 +46,11 @@ the solution's diagonal entry, and the driver raises
 :class:`~repro.errors.NotSPDError` naming the first offending row after
 all groups are solved.
 
-This op is the only implementation of the exact setup.  The kernel
-``reference`` backend replays it in scalar Python and is its oracle; the
-tests also hold it to a per-row dense LAPACK solve
-(:func:`repro.solvers.direct.solve_spd`) written in the test itself.
+This op is the only implementation of the exact setup; the adaptive
+FSPAI growth (:mod:`repro.fsai.adaptive`) runs it once per growth step.
+The kernel ``reference`` backend replays it in scalar Python and is its
+oracle; the tests also hold it to a per-row dense ``np.linalg.solve``
+written in the test itself.
 """
 
 from __future__ import annotations

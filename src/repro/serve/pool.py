@@ -463,7 +463,9 @@ class MultiProcessClient:
         concurrent ``submit`` racing this respawn fails fast at the put
         (and converts to :class:`WorkerCrashedError` itself) instead of
         writing into a queue nobody will ever read; then the sweep fails
-        everything that made it in before the close.
+        everything that made it in before the close.  Last, the state is
+        replayed into the replacement, which is installed before
+        ``respawns`` counts it.
         """
         shard = dead.shard
         trace.add_counter("serve.pool_respawn")
@@ -496,7 +498,6 @@ class MultiProcessClient:
         dead.process.join()  # reap the zombie
         replacement = self._spawn(shard)
         replacement.respawns = dead.respawns + 1
-        self.respawns += 1
         # Replay shard state in registration order: operators first so a
         # seeded factor always finds its operator present.
         with self._lock:
@@ -506,7 +507,10 @@ class MultiProcessClient:
         for fspec in self.store.factors():
             if shard_for(fspec.key[0], self.n_workers) == shard:
                 replacement.cmd_queue.put(("seed", fspec))
+        # Install, then publish the count: a caller that waits for
+        # ``respawns`` must never reach the dead worker's closed queue.
         self._workers[index] = replacement
+        self.respawns += 1
 
     # ------------------------------------------------------------------
     # Client surface

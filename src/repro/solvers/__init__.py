@@ -2,10 +2,9 @@
 
 * :func:`~repro.solvers.cg.cg` / :func:`~repro.solvers.cg.pcg` — the paper's
   Conjugate Gradient solver (§2.1), instrumented with residual history and
-  flop counts.
-* :mod:`~repro.solvers.direct` — the dense LAPACK SPD solve for one small
-  local system (the role MKL / LAPACK / OpenBLAS play in the paper's §7.1);
-  the batched FSAI setup itself is the ``fsai_setup`` kernel op.
+  flop counts.  The small dense SPD systems of the FSAI setup (the role
+  MKL / LAPACK / OpenBLAS play in the paper's §7.1) are the batched
+  ``fsai_setup`` kernel op, not a solver here.
 * :mod:`~repro.solvers.preconditioners` — trivial baselines (identity,
   Jacobi) against which FSAI is sanity-checked.
 """
@@ -16,7 +15,6 @@ from repro.solvers.convergence import (
     SolveResult,
 )
 from repro.solvers.cg import cg, pcg, pcg_multi
-from repro.solvers.direct import solve_spd
 from repro.solvers.sptrsv import (
     level_schedule_stats,
     level_sets,
@@ -37,7 +35,6 @@ __all__ = [
     "cg",
     "pcg",
     "pcg_multi",
-    "solve_spd",
     "sparse_forward_substitution",
     "sparse_backward_substitution",
     "level_sets",

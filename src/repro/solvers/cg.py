@@ -193,6 +193,7 @@ def _pcg(
         if dq <= 0:
             # Indefinite or numerically broken-down system: stop with the
             # current iterate rather than silently diverging.
+            trace.add_counter("cg.breakdowns")  # no-op unless tracing is on
             iterations -= 1
             break
         alpha = rho / dq
@@ -394,11 +395,15 @@ def _pcg_multi(
         # <= 0) freeze at the *previous* iterate without converging —
         # exactly pcg's early break, per column.
         stepping = active & (dq > 0.0)
+        if trace.enabled():
+            broken = int(np.count_nonzero(active & ~stepping))
+            if broken:
+                trace.add_counter("cg.breakdowns", broken)
+            if stepping.any():
+                trace.add_counter("cg.iterations", int(stepping.sum()))
         active &= stepping
         if not np.any(stepping):
             break
-        if trace.enabled():
-            trace.add_counter("cg.iterations", int(stepping.sum()))
         alpha = np.where(stepping, rho / np.where(dq > 0.0, dq, 1.0), 0.0)
         # Frozen columns ride along with alpha = 0: their x/r columns are
         # bit-unchanged, so freezing costs bandwidth but never accuracy.

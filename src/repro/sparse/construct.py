@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._typing import as_index_array, as_value_array
-from repro.errors import ShapeError
+from repro.errors import MatrixFormatError, ShapeError
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -21,10 +21,17 @@ def csr_from_dense(dense, *, drop_tolerance: float = 0.0) -> CSRMatrix:
     """Build a CSR matrix from a dense 2-D array.
 
     Entries with ``|a_ij| <= drop_tolerance`` are treated as structural zeros.
+    A NaN or infinite entry raises :class:`~repro.errors.MatrixFormatError`
+    naming the first one in row-major order (the drop test would silently
+    discard a NaN).
     """
     dense = np.asarray(dense, dtype=np.float64)
     if dense.ndim != 2:
         raise ShapeError("dense input must be 2-D")
+    bad = np.argwhere(~np.isfinite(dense))
+    if len(bad):
+        i, j = bad[0]
+        raise MatrixFormatError(f"non-finite value {dense[i, j]} at ({i}, {j})")
     mask = np.abs(dense) > drop_tolerance
     rows, cols = np.nonzero(mask)
     return csr_from_coo_arrays(

@@ -580,35 +580,15 @@ class CSRMatrix:
         """Remove explicitly stored zeros."""
         return self._masked(self.data != 0.0)
 
-    def submatrix(self, rows: IndexArray, cols: IndexArray) -> np.ndarray:
-        """Dense ``A[rows][:, cols]`` gather — the FSAI local system extractor.
-
-        ``rows`` and ``cols`` must each be sorted ascending.  Runs in
-        ``O(sum of selected row lengths)`` with per-row vectorised gathers,
-        which is the dominant pattern in FSAI setup (many tiny dense systems).
-        """
-        rows = as_index_array(rows)
-        cols = as_index_array(cols)
-        out = np.zeros((len(rows), len(cols)))
-        for k, i in enumerate(rows):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            row_cols = self.indices[lo:hi]
-            row_vals = self.data[lo:hi]
-            pos = np.searchsorted(cols, row_cols)
-            pos_ok = pos < len(cols)
-            hit = pos_ok & (cols[np.minimum(pos, len(cols) - 1)] == row_cols)
-            out[k, pos[hit]] = row_vals[hit]
-        return out
-
     def gather_entries(self, rows: IndexArray, cols: IndexArray) -> np.ndarray:
         """Values at positions ``(rows[j], cols[j])``; absent entries read 0.
 
         ``rows`` and ``cols`` may have any (matching) shape — the
         post-filter rescale passes whole ``(batch, k, k)`` index blocks —
         and the values come back in that shape.  One binary search over the
-        cached row-major :meth:`entry_keys` replaces the per-row searches of
-        :meth:`submatrix`, so extracting every local system of a row-length
-        bucket is a single vectorised lookup.
+        cached row-major :meth:`entry_keys` serves the whole block, so
+        extracting every local system of a row-length bucket is a single
+        vectorised lookup.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import trace
 from repro.arch.address import ArrayPlacement
 from repro.arch.cacheline import lines_touched
 from repro.collection.generators.fd import poisson2d
@@ -13,13 +14,56 @@ from repro.fsai.adaptive import (
     setup_fspai_cache_extended,
 )
 from repro.fsai.extended import setup_fsai
+from repro.kernels import ENV_VAR
 from repro.solvers.cg import pcg
 from repro.sparse.construct import csr_from_dense
+
+from tests.conftest import random_spd_dense
 
 
 @pytest.fixture(scope="module")
 def a():
     return poisson2d(12)  # n = 144
+
+
+def _tridiagonal(n=8):
+    return csr_from_dense(2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+
+
+def _greedy_oracle(a, budget, tolerance):
+    """Per-row greedy growth with a dense solve of every local system."""
+    dense = a.to_dense()
+    rows = []
+    for i in range(a.n_rows):
+        support = [i]
+        for _ in range(budget):
+            J = np.array(sorted(support))
+            g_hat = np.linalg.solve(dense[np.ix_(J, J)], (J == i).astype(float))
+            cand = [
+                j for j in range(i)
+                if j not in support and np.any(dense[J, j] != 0.0)
+            ]
+            if not cand:
+                break
+            scores = np.abs(g_hat @ dense[np.ix_(J, cand)])
+            scores /= np.sqrt(np.diag(dense)[cand])
+            # Largest score; exact ties go to the largest column.
+            score, j = max(zip(scores, cand))
+            if score <= tolerance:
+                break
+            support.append(j)
+        rows.append(sorted(support))
+    return rows
+
+
+ORACLE_MATRICES = {
+    "poisson2d12": lambda: poisson2d(12),
+    "tridiag8": _tridiagonal,
+    "random_sparse30": lambda: csr_from_dense(
+        random_spd_dense(30, seed=11, density=0.2)
+    ),
+}
+ORACLE_SETTINGS = [(4, 1e-2), (8, 1e-4), (3, 0.0), (1, 1e-8), (6, 1e-3)]
 
 
 @pytest.fixture(scope="module")
@@ -52,34 +96,50 @@ class TestAdaptivePattern:
         tight = adaptive_pattern(a, max_new_per_row=8, tolerance=1e-4)
         assert tight.nnz >= loose.nnz
 
-    def test_candidates_per_step_batching(self, a):
-        one = adaptive_pattern(a, max_new_per_row=4, candidates_per_step=1)
-        two = adaptive_pattern(a, max_new_per_row=4, candidates_per_step=2)
-        # Both respect the budget; batched growth may differ slightly.
-        assert int(two.row_lengths().max()) <= 5
-        assert abs(two.nnz - one.nnz) <= a.n_rows
-
     def test_dense_inverse_row_selected(self):
         # For a tridiagonal SPD matrix, the most valuable lower entries of
         # row i are its immediate predecessors — the adaptive growth must
         # pick the (i, i-1) coupling first.
-        d = (
-            np.diag(np.full(8, 2.0))
-            + np.diag(np.full(7, -1.0), 1)
-            + np.diag(np.full(7, -1.0), -1)
-        )
-        a = csr_from_dense(d)
-        p = adaptive_pattern(a, max_new_per_row=1, tolerance=1e-8)
+        p = adaptive_pattern(_tridiagonal(), max_new_per_row=1, tolerance=1e-8)
         for i in range(1, 8):
             assert (i, i - 1) in p
+
+    @pytest.mark.parametrize("budget,tolerance", ORACLE_SETTINGS)
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATRICES))
+    def test_matches_dense_greedy_oracle(self, name, budget, tolerance):
+        m = ORACLE_MATRICES[name]()
+        p = adaptive_pattern(m, max_new_per_row=budget, tolerance=tolerance)
+        expected = _greedy_oracle(m, budget, tolerance)
+        assert [p.row(i).tolist() for i in range(m.n_rows)] == expected
+
+    def test_exact_tie_goes_to_largest_column(self):
+        # Row 3 couples equally to columns 0, 1 and 2, which are mutually
+        # uncoupled: its three candidate scores are bit-identical, and the
+        # growth must take them largest column first.
+        d = 4.0 * np.eye(4)
+        d[3, :3] = d[:3, 3] = -1.0
+        m = csr_from_dense(d)
+        for budget, expected in ((1, [2, 3]), (2, [1, 2, 3]), (3, [0, 1, 2, 3])):
+            p = adaptive_pattern(m, max_new_per_row=budget, tolerance=0.0)
+            assert p.row(3).tolist() == expected
+
+    def test_reference_backend_grows_the_same_pattern(self, a, monkeypatch):
+        default = adaptive_pattern(a, max_new_per_row=4, tolerance=1e-3)
+        monkeypatch.setenv(ENV_VAR, "reference")
+        with trace.collecting() as collector:
+            reference = adaptive_pattern(a, max_new_per_row=4, tolerance=1e-3)
+        ops = [
+            r for root in collector.roots for r in root.iter_spans()
+            if r.name in ("fsai.frobenius", "spgemm")
+        ]
+        assert ops and {r.attrs["backend"] for r in ops} == {"reference"}
+        assert reference == default
 
     def test_validations(self, a):
         with pytest.raises(ShapeError):
             adaptive_pattern(csr_from_dense(np.ones((2, 3))))
         with pytest.raises(ValueError):
             adaptive_pattern(a, max_new_per_row=-1)
-        with pytest.raises(ValueError):
-            adaptive_pattern(a, candidates_per_step=0)
         with pytest.raises(NotSPDError):
             adaptive_pattern(csr_from_dense(np.diag([1.0, -1.0])))
 
@@ -124,6 +184,19 @@ class TestSetups:
                 lines_touched(base.row(i), placement),
                 lines_touched(final.row(i), placement),
             )
+
+    def test_setups_trace_their_span_and_growth_steps(self, a):
+        placement = ArrayPlacement.aligned(64)
+        with trace.collecting() as collector:
+            setup_fspai(a, max_new_per_row=4, tolerance=1e-2)
+            setup_fspai_cache_extended(
+                a, placement, max_new_per_row=3, tolerance=1e-2
+            )
+        spans = [r for root in collector.roots for r in root.iter_spans()]
+        setups = [r for r in spans if r.name == "fsai.setup"]
+        assert [r.attrs["method"] for r in setups] == ["fspai", "fspai_ext"]
+        steps = [r.total_counters()["fsai.adaptive_steps"] for r in setups]
+        assert steps == [4, 3]
 
     def test_flop_ledger(self, a):
         ext = setup_fspai_cache_extended(a, ArrayPlacement.aligned(64))

@@ -216,6 +216,39 @@ class TestChaosRespawn:
             assert snap["respawns"] == 1
             assert snap["shards"][str(shard)]["respawns"] == 1
 
+    def test_replacement_installed_before_respawn_count(self, monkeypatch):
+        """``respawns`` counts a replacement only once it is installed.
+
+        The replay into the replacement's queue is slowed down; a caller
+        that sees the count change must already find the replacement in
+        ``_workers``, never the dead worker and its closed queue.
+        """
+        a = poisson2d(8)
+        with MultiProcessClient(1, window_seconds=0.005) as client:
+            client.register(a)  # gives the respawn an attach to replay
+            dead = client._workers[0]
+            spawn = client._spawn
+
+            def spawn_with_slow_replay(shard):
+                worker = spawn(shard)
+                put = worker.cmd_queue.put
+
+                def slow_put(*args, **kwargs):
+                    time.sleep(0.2)
+                    return put(*args, **kwargs)
+
+                monkeypatch.setattr(worker.cmd_queue, "put", slow_put)
+                return worker
+
+            monkeypatch.setattr(client, "_spawn", spawn_with_slow_replay)
+            os.kill(dead.process.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while client.respawns == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            installed = client._workers[0]
+            assert client.respawns == 1
+            assert installed is not dead
+
     def test_submit_after_close_raises(self):
         a = poisson2d(8)
         client = MultiProcessClient(1, window_seconds=0.005)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import trace
 from repro.errors import ShapeError
-from repro.solvers.cg import cg, pcg
+from repro.solvers.cg import cg, pcg, pcg_multi
 from repro.solvers.preconditioners import JacobiPreconditioner
 from repro.sparse.construct import csr_from_dense
 from tests.conftest import random_spd_dense
@@ -92,6 +93,36 @@ class TestPlainCG:
         a = csr_from_dense(np.diag([1.0, -1.0]))
         res = cg(a, np.array([0.0, 1.0]), max_iterations=10)
         assert not res.converged
+
+
+class TestBreakdownCounter:
+    """``cg.breakdowns`` counts stops on ``d·q <= 0``, only while tracing."""
+
+    INDEFINITE = np.diag([1.0, -1.0])
+
+    def test_pcg_counts_its_breakdown(self):
+        a = csr_from_dense(self.INDEFINITE)
+        with trace.collecting() as collector:
+            res = cg(a, np.array([0.0, 1.0]), max_iterations=10)
+        assert not res.converged
+        assert collector.total_counters()["cg.breakdowns"] == 1
+
+    def test_pcg_multi_counts_each_frozen_column(self):
+        # Column 0 converges in one step; columns 1 (d·q < 0) and 2
+        # (d·q = 0) freeze on breakdown in the first iteration.
+        a = csr_from_dense(self.INDEFINITE)
+        b = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        with trace.collecting() as collector:
+            res = pcg_multi(a, b, max_iterations=10)
+        assert [c.converged for c in res.columns] == [True, False, False]
+        assert collector.total_counters()["cg.breakdowns"] == 2
+
+    def test_converged_solves_record_none(self, poisson16):
+        b = np.ones(poisson16.n_rows)
+        with trace.collecting() as collector:
+            assert cg(poisson16, b).converged
+            assert pcg_multi(poisson16, np.column_stack([b, -b])).converged
+        assert "cg.breakdowns" not in collector.total_counters()
 
 
 class TestPCG:

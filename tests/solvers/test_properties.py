@@ -2,8 +2,7 @@
 
 Random SPD systems of varying conditioning: CG must terminate within n
 iterations (exact arithmetic bound, with roundoff slack), FSAI-PCG must
-converge and produce the same solution, the dense SPD solve must leave a
-small residual.
+converge and produce the same solution.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.fsai.extended import setup_fsai
 from repro.solvers.cg import cg, pcg
-from repro.solvers.direct import solve_spd
 from repro.sparse.construct import csr_from_dense
 
 
@@ -69,11 +67,3 @@ class TestCGProperties:
         assert res.history is not None
         assert res.history.final == res.residual_norm
 
-
-class TestDirectProperties:
-    @given(spd_systems())
-    @settings(max_examples=60, deadline=None)
-    def test_solve_spd_residual(self, system):
-        a, b = system
-        x = solve_spd(a, b)
-        assert np.linalg.norm(a @ x - b) <= 1e-7 * max(np.linalg.norm(b), 1e-30)

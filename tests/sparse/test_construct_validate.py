@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.errors import NotSPDError, NotSymmetricError, ShapeError
+from repro.errors import (
+    MatrixFormatError,
+    NotSPDError,
+    NotSymmetricError,
+    ShapeError,
+)
 from repro.sparse.construct import (
     csr_diagonal_matrix,
     csr_from_coo_arrays,
@@ -27,6 +32,21 @@ class TestConstruct:
     def test_from_dense_requires_2d(self):
         with pytest.raises(ShapeError):
             csr_from_dense(np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [(2, 2), (3, 2)], ids=["diag", "offdiag"])
+    def test_from_dense_rejects_non_finite(self, bad, pos):
+        d = 2.0 * np.eye(6) - np.eye(6, k=1) - np.eye(6, k=-1)
+        d[pos] = bad
+        d[5, 0] = bad  # a later bad entry: the error names the first
+        with pytest.raises(MatrixFormatError, match=rf"at \({pos[0]}, {pos[1]}\)"):
+            csr_from_dense(d)
+
+    def test_from_dense_nan_not_dropped_by_tolerance(self):
+        d = 2.0 * np.eye(6) - np.eye(6, k=1) - np.eye(6, k=-1)
+        d[1, 0] = d[0, 1] = np.nan
+        with pytest.raises(MatrixFormatError, match="nan"):
+            csr_from_dense(d, drop_tolerance=1e-9)
 
     def test_identity(self):
         assert np.allclose(csr_identity(3).to_dense(), np.eye(3))

@@ -119,15 +119,6 @@ class TestExtraction:
         assert pruned.nnz == 2
         assert np.allclose(pruned.to_dense(), m.to_dense())
 
-    def test_submatrix_matches_dense(self, a, dense):
-        rows = np.array([0, 2, 3])
-        cols = np.array([1, 2])
-        assert np.allclose(a.submatrix(rows, cols), dense[np.ix_(rows, cols)])
-
-    def test_submatrix_empty_selection(self, a):
-        out = a.submatrix(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert out.shape == (0, 0)
-
 
 class TestConversions:
     def test_transpose_matches_dense(self, a, dense):
