@@ -11,8 +11,9 @@ Components (each timed as min over repetitions, §7.1 style):
 
 * ``stack_distances`` — Mattson profiling of every case's SpMV trace:
   per-access Fenwick tree vs the sort/merge-count engine.
-* ``cache_replay`` — Skylake-L1 trace replay: ``OrderedDict`` walk vs the
-  offline engine with lazy array-chained state.
+* ``cache_replay`` — cold Skylake-L1 trace replay: the ``OrderedDict``
+  walk (``replay(..., backend="reference")``) vs the per-set
+  stack-distance engine (``replay(...)``).
 * ``spmv`` — CSR matvec: allocating ``bincount`` kernel vs the
   ``np.add.reduceat`` kernel writing into caller workspaces.
 * ``fsai_apply`` — ``z = G^T (G r)``: two allocating products vs the fused
@@ -64,7 +65,7 @@ from benchmarks.conftest import BENCH_CASE_IDS, scope_note
 from repro import trace
 from repro.arch.address import ArrayPlacement
 from repro.arch.presets import SKYLAKE
-from repro.cachesim.cache import SetAssociativeCache
+from repro.cachesim.cache import replay
 from repro.cachesim.stackdist import stack_distances
 from repro.cachesim.trace import spmv_trace
 from repro.collection.generators.fd import poisson2d
@@ -294,10 +295,10 @@ def test_engine_speedup(benchmark, capsys):
         for _, a, pattern, _, _ in work:
             compute_g(a, pattern)
 
-    def replay(backend):
+    def cache_replay(backend):
         def run():
             for lines in traces:
-                SetAssociativeCache(l1, backend=backend).access_many(lines)
+                replay(lines, l1, backend=backend)
         return run
 
     def spmv_ref():
@@ -427,8 +428,8 @@ def test_engine_speedup(benchmark, capsys):
         ),
         _component(
             "cache_replay",
-            f"L1 {l1.n_sets}x{l1.associativity}, full traces, lazy state",
-            replay("reference"), replay("vector"),
+            f"L1 {l1.n_sets}x{l1.associativity}, full traces, cold cache",
+            cache_replay("reference"), cache_replay("vector"),
             floor=MIN_CACHE_REPLAY_SPEEDUP,
         ),
         _component(

@@ -54,7 +54,7 @@ def test_implicit_vs_fsai(benchmark, capsys):
         assert r_fsai.converged and r_ic.converged
         ic_levels, _ = ic.parallel_levels()
         fsai_apply = modelled_apply_seconds(
-            fsai.application.g.nnz + fsai.application.gt.nnz, 1, SKYLAKE
+            2 * fsai.application.g.nnz, 1, SKYLAKE
         )
         ic_apply = modelled_apply_seconds(
             2 * ic.factor.nnz, ic_levels, SKYLAKE

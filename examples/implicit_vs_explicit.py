@@ -53,7 +53,7 @@ def main() -> None:
             nnz_work = 2 * pre.factor.nnz
         else:
             levels = 1  # SpMV: all rows independent
-            nnz_work = pre.g.nnz + pre.gt.nnz
+            nnz_work = 2 * pre.g.nnz
         t_apply = apply_seconds(nnz_work, levels)
         print(
             f"{name:>12} {res.iterations:>6} {levels:>13} "

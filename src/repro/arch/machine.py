@@ -2,9 +2,9 @@
 
 A :class:`MachineModel` bundles the handful of architectural parameters the
 reproduction needs: the cache-line size (the single input of the fill-in
-algorithm, §4.1), the cache hierarchy geometry (for the simulator of
-:mod:`repro.cachesim`), and sustained bandwidth / flop-rate figures (for the
-roofline cost model in :mod:`repro.perf`).
+algorithm, §4.1), the cache geometry (its first level is the L1 the
+simulator of :mod:`repro.cachesim` replays), and sustained bandwidth /
+flop-rate figures (for the roofline cost model in :mod:`repro.perf`).
 """
 
 from __future__ import annotations

@@ -1,34 +1,28 @@
-"""Cache-hierarchy simulator.
+"""Cache simulator.
 
 Pure Python cannot observe hardware cache behaviour, so this subpackage
-*simulates* it (see DESIGN.md §2): an exact set-associative LRU cache replays
-the memory-access stream of the SpMV kernels and reports hit/miss counts per
-level, attributed to the structure that generated each access (the multiplied
-vector ``x``, the matrix arrays, the output ``y``).
+*simulates* it (see DESIGN.md §2): the memory-access stream of one SpMV or
+``G^T (G p)`` application is replayed through a cold, exact true-LRU L1,
+and its misses are attributed to the structure that generated each access
+(the multiplied vector ``x``, the matrix arrays, the output ``y``).
 
-The three public layers:
+The public layers:
 
-* :class:`~repro.cachesim.cache.SetAssociativeCache` — one level, exact LRU;
-* :class:`~repro.cachesim.hierarchy.CacheHierarchy` — L1→L2→(L3) stack;
-* :mod:`~repro.cachesim.spmv_sim` — SpMV / FSAI-application trace generation
-  and the measurement entry points used by the Figure 3 experiment.
+* :mod:`~repro.cachesim.trace` — SpMV / FSAI-application trace generation;
+* :func:`~repro.cachesim.cache.replay` — the L1 hit mask of one trace;
+* :mod:`~repro.cachesim.spmv_sim` — the measurement entry points used by
+  the Figure 3 experiment and the roofline cost model;
+* :mod:`~repro.cachesim.stackdist` — stack-distance (miss-ratio curve)
+  profiles.
 """
 
-from repro.cachesim.cache import (
-    CACHE_BACKENDS,
-    CacheStats,
-    SetAssociativeCache,
-    InfiniteCache,
-)
+from repro.cachesim.cache import CACHE_BACKENDS, replay
 from repro.cachesim.engine import (
-    LRUSimOutcome,
     count_leq_before,
     previous_occurrence,
     set_stack_distances,
-    simulate_set_lru,
     stack_distances_vectorized,
 )
-from repro.cachesim.hierarchy import CacheHierarchy, LevelStats
 from repro.cachesim.trace import (
     REGION_X,
     REGION_MATRIX,
@@ -50,17 +44,11 @@ from repro.cachesim.stackdist import (
 
 __all__ = [
     "CACHE_BACKENDS",
-    "CacheStats",
-    "SetAssociativeCache",
-    "InfiniteCache",
-    "LRUSimOutcome",
+    "replay",
     "count_leq_before",
     "previous_occurrence",
     "set_stack_distances",
-    "simulate_set_lru",
     "stack_distances_vectorized",
-    "CacheHierarchy",
-    "LevelStats",
     "REGION_X",
     "REGION_MATRIX",
     "REGION_Y",

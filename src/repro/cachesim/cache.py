@@ -1,39 +1,36 @@
-"""Exact set-associative LRU cache model.
+"""Cold true-LRU replay of one cache-line trace.
 
-The simulator operates at cache-line granularity: callers translate element
-accesses to line ids (via :mod:`repro.arch.cacheline`) and feed the line-id
-stream to :meth:`SetAssociativeCache.access_many`.
+The simulator works at cache-line granularity: callers translate element
+accesses to line ids (via :mod:`repro.arch.cacheline`) and replay the
+line-id stream through :func:`replay`.  It returns the hit mask of one
+pass through a set-associative cache with true-LRU replacement that starts
+empty — all the Figure 3 metric and the roofline cost model need.
 
-Two interchangeable backends produce bit-identical results:
+Two backends return bit-identical masks:
 
-* ``"vector"`` (default) — the offline engine of
-  :mod:`repro.cachesim.engine`: per-set stack distances computed with
-  sort/group NumPy primitives, hit iff distance ``< ways``.  Interpreter
-  cost is O(log n) vectorized passes instead of O(n) dict operations.
-* ``"reference"`` — the original per-access ``OrderedDict`` walk (O(1) LRU
-  updates, the fastest pure-Python structure for this pattern).  Kept as
-  the oracle the property tests compare the engine against, and used
+* ``"vector"`` (default) — per-set stack distances from
+  :func:`repro.cachesim.engine.set_stack_distances`; an access hits iff
+  its distance is ``< ways`` (the LRU stack property).  O(log n)
+  vectorized passes instead of O(n) dict operations.
+* ``"reference"`` — the per-access ``OrderedDict`` walk (O(1) LRU updates,
+  the fastest pure-Python structure for this pattern).  Kept as the
+  oracle the property tests compare the engine against, and used
   automatically for tiny traces where vectorization overhead dominates.
-
-Both backends maintain the same live cache state, so scalar probes
-(:meth:`access`, :meth:`contains`) and batch replays can be mixed freely.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.machine import CacheLevelSpec
-from repro.cachesim.engine import simulate_set_lru
+from repro.cachesim.engine import set_stack_distances
 from repro.errors import ConfigurationError
 
-__all__ = ["CacheStats", "SetAssociativeCache", "InfiniteCache", "CACHE_BACKENDS"]
+__all__ = ["CACHE_BACKENDS", "replay"]
 
-#: Recognised ``backend=`` values for the cache models.
+#: Recognised ``backend=`` values of :func:`replay`.
 CACHE_BACKENDS = ("vector", "reference")
 
 #: Below this trace length the per-access loop beats the sort-based engine
@@ -41,263 +38,39 @@ CACHE_BACKENDS = ("vector", "reference")
 _VECTOR_MIN_TRACE = 64
 
 
-def _check_backend(backend: str) -> str:
+def replay(
+    lines: np.ndarray, spec: CacheLevelSpec, *, backend: str = "vector"
+) -> np.ndarray:
+    """Hit mask of ``lines`` replayed through a cold ``spec`` cache.
+
+    Line ids are arbitrary integers (virtual address // line size); the
+    set index is ``line_id mod spec.n_sets``, matching the index-bit
+    slicing of physically- and virtually-indexed caches for our aligned
+    line ids.  Entry ``k`` of the result is True iff access ``k`` hit.
+    """
     if backend not in CACHE_BACKENDS:
         raise ConfigurationError(
             f"unknown cache backend {backend!r}; expected one of {CACHE_BACKENDS}"
         )
-    return backend
+    lines = np.asarray(lines, dtype=np.int64)
+    if backend == "reference" or len(lines) < _VECTOR_MIN_TRACE:
+        return _replay_reference(lines, spec.n_sets, spec.associativity)
+    d, _ = set_stack_distances(lines, spec.n_sets)
+    return (d >= 0) & (d < spec.associativity)
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters for one cache (or one simulated region)."""
-
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def miss_ratio(self) -> float:
-        """Misses per access (0 for an untouched cache)."""
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Elementwise sum of two counters (aggregation across runs)."""
-        return CacheStats(
-            accesses=self.accesses + other.accesses,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-        )
-
-
-class SetAssociativeCache:
-    """A single-level set-associative cache with true-LRU replacement.
-
-    Line ids are arbitrary integers (virtual address // line size); the set
-    index is ``line_id mod n_sets``, matching the index-bit slicing of
-    physically- and virtually-indexed caches for our aligned line ids.
-    """
-
-    def __init__(self, spec: CacheLevelSpec, *, backend: str = "vector") -> None:
-        self.spec = spec
-        self.n_sets = spec.n_sets
-        self.ways = spec.associativity
-        self.backend = _check_backend(backend)
-        if self.n_sets <= 0:
-            raise ConfigurationError(f"{spec.name}: zero sets")
-        self._set_store: List[OrderedDict] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
-        # Live state produced by the offline engine but not yet scattered
-        # into the per-set OrderedDicts.  Replay-only workflows (the common
-        # bench/simulation path) chain these arrays directly from one
-        # access_many to the next and never pay the Python rebuild loop;
-        # scalar probes materialise on demand via the ``_sets`` property.
-        self._pending_state: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self.stats = CacheStats()
-
-    @property
-    def _sets(self) -> List[OrderedDict]:
-        """Per-set ``OrderedDict`` state, materialised on first need."""
-        pending = self._pending_state
-        if pending is not None:
-            for s in self._set_store:
-                if s:
-                    s.clear()
-            sets = self._set_store
-            state_sets, state_lines = pending
-            for set_idx, line in zip(state_sets.tolist(), state_lines.tolist()):
-                sets[set_idx][line] = None
-            self._pending_state = None
-        return self._set_store
-
-    def reset(self) -> None:
-        """Empty the cache and zero the counters."""
-        self._pending_state = None
-        for s in self._set_store:
-            s.clear()
-        self.stats = CacheStats()
-
-    def contains(self, line_id: int) -> bool:
-        """Non-mutating residency probe."""
-        return int(line_id) in self._sets[int(line_id) % self.n_sets]
-
-    def access(self, line_id: int) -> bool:
-        """Access one line.  Returns True on hit, False on miss."""
-        line_id = int(line_id)
-        s = self._sets[line_id % self.n_sets]
-        st = self.stats
-        st.accesses += 1
-        if line_id in s:
-            s.move_to_end(line_id)
-            st.hits += 1
-            return True
-        s[line_id] = None
-        if len(s) > self.ways:
-            s.popitem(last=False)
-            st.evictions += 1
-        st.misses += 1
-        return False
-
-    def access_many(self, line_ids: np.ndarray) -> np.ndarray:
-        """Access a line-id stream; returns a boolean hit mask.
-
-        Dispatches to the offline vectorized engine unless the instance was
-        built with ``backend="reference"`` (or the trace is too short to
-        amortise the sort passes).  Both paths leave identical counters and
-        identical live state behind.
-        """
-        line_ids = np.asarray(line_ids, dtype=np.int64)
-        if self.backend == "reference" or len(line_ids) < _VECTOR_MIN_TRACE:
-            return self._access_many_reference(line_ids)
-        return self._access_many_vector(line_ids)
-
-    def _access_many_reference(self, line_ids: np.ndarray) -> np.ndarray:
-        """Per-access replay (the original oracle loop, locals hoisted)."""
-        hits_mask = np.empty(len(line_ids), dtype=bool)
-        sets = self._sets
-        n_sets = self.n_sets
-        ways = self.ways
-        n_hits = 0
-        n_evict = 0
-        for k, raw in enumerate(line_ids.tolist()):
-            s = sets[raw % n_sets]
-            if raw in s:
-                s.move_to_end(raw)
-                hits_mask[k] = True
-                n_hits += 1
-            else:
-                s[raw] = None
-                if len(s) > ways:
-                    s.popitem(last=False)
-                    n_evict += 1
-                hits_mask[k] = False
-        st = self.stats
-        st.accesses += len(line_ids)
-        st.hits += n_hits
-        st.misses += len(line_ids) - n_hits
-        st.evictions += n_evict
-        return hits_mask
-
-    def _warm_lines(self) -> np.ndarray:
-        """Current contents as a warm-start prefix (per-set LRU order).
-
-        When the last replay's state is still pending, its ``state_lines``
-        array *is* the warm prefix (the engine reports residents grouped
-        by set in LRU order), so back-to-back replays chain state without
-        ever touching the OrderedDicts.
-        """
-        if self._pending_state is not None:
-            return self._pending_state[1]
-        resident: List[int] = []
-        for s in self._set_store:
-            if s:
-                resident.extend(s.keys())
-        return np.asarray(resident, dtype=np.int64)
-
-    def _access_many_vector(self, line_ids: np.ndarray) -> np.ndarray:
-        outcome = simulate_set_lru(
-            line_ids, self.n_sets, self.ways, warm_lines=self._warm_lines()
-        )
-        # Keep the engine-reported final state as arrays; scalar probes
-        # scatter it into the OrderedDicts lazily (the ``_sets`` property).
-        self._pending_state = (outcome.state_sets, outcome.state_lines)
-        n_hits = int(outcome.hits.sum())
-        st = self.stats
-        st.accesses += len(line_ids)
-        st.hits += n_hits
-        st.misses += len(line_ids) - n_hits
-        st.evictions += outcome.evictions
-        return outcome.hits
-
-    @property
-    def resident_lines(self) -> int:
-        """Number of lines currently held."""
-        if self._pending_state is not None:
-            return len(self._pending_state[1])
-        return sum(len(s) for s in self._set_store)
-
-    def __repr__(self) -> str:
-        return (
-            f"SetAssociativeCache({self.spec.name}, sets={self.n_sets}, "
-            f"ways={self.ways}, stats={self.stats})"
-        )
-
-
-class InfiniteCache:
-    """Idealised cache of unbounded capacity — misses are compulsory only.
-
-    Used to separate compulsory (first-touch) misses from capacity/conflict
-    misses when analysing pattern extensions: a cache-friendly extension adds
-    zero compulsory misses *by construction*, which the property-based tests
-    assert through this model.
-    """
-
-    def __init__(self, name: str = "INF", *, backend: str = "vector") -> None:
-        self.name = name
-        self.backend = _check_backend(backend)
-        self._seen: set = set()
-        self.stats = CacheStats()
-
-    def reset(self) -> None:
-        self._seen.clear()
-        self.stats = CacheStats()
-
-    def contains(self, line_id: int) -> bool:
-        return int(line_id) in self._seen
-
-    def access(self, line_id: int) -> bool:
-        line_id = int(line_id)
-        self.stats.accesses += 1
-        if line_id in self._seen:
-            self.stats.hits += 1
-            return True
-        self._seen.add(line_id)
-        self.stats.misses += 1
-        return False
-
-    def access_many(self, line_ids: np.ndarray) -> np.ndarray:
-        line_ids = np.asarray(line_ids, dtype=np.int64)
-        if self.backend == "reference" or len(line_ids) < _VECTOR_MIN_TRACE:
-            return self._access_many_reference(line_ids)
-        # Vector path: a miss is the first in-trace touch of a line not
-        # already seen; Python work is O(distinct lines), not O(accesses).
-        seen = self._seen
-        uniq, first_idx = np.unique(line_ids, return_index=True)
-        new = np.fromiter(
-            (u not in seen for u in uniq.tolist()), dtype=bool, count=len(uniq)
-        )
-        hits_mask = np.ones(len(line_ids), dtype=bool)
-        hits_mask[first_idx[new]] = False
-        seen.update(uniq[new].tolist())
-        n_misses = int(new.sum())
-        self.stats.accesses += len(line_ids)
-        self.stats.hits += len(line_ids) - n_misses
-        self.stats.misses += n_misses
-        return hits_mask
-
-    def _access_many_reference(self, line_ids: np.ndarray) -> np.ndarray:
-        hits_mask = np.empty(len(line_ids), dtype=bool)
-        seen = self._seen
-        n_hits = 0
-        for k, raw in enumerate(line_ids.tolist()):
-            if raw in seen:
-                hits_mask[k] = True
-                n_hits += 1
-            else:
-                seen.add(raw)
-                hits_mask[k] = False
-        self.stats.accesses += len(line_ids)
-        self.stats.hits += n_hits
-        self.stats.misses += len(line_ids) - n_hits
-        return hits_mask
-
-    def __repr__(self) -> str:
-        return f"InfiniteCache(lines={len(self._seen)}, stats={self.stats})"
+def _replay_reference(lines: np.ndarray, n_sets: int, ways: int) -> np.ndarray:
+    """Per-access ``OrderedDict`` walk (the oracle)."""
+    hits = np.empty(len(lines), dtype=bool)
+    sets = [OrderedDict() for _ in range(n_sets)]
+    for k, line in enumerate(lines.tolist()):
+        s = sets[line % n_sets]
+        if line in s:
+            s.move_to_end(line)
+            hits[k] = True
+        else:
+            s[line] = None
+            if len(s) > ways:
+                s.popitem(last=False)
+            hits[k] = False
+    return hits

@@ -1,9 +1,9 @@
-"""Vectorized set-associative LRU simulation engine.
+"""Vectorized per-set LRU stack distances.
 
 The per-access ``OrderedDict`` walk in :mod:`repro.cachesim.cache` is exact
 but pays interpreter cost for every access.  This module computes the same
-hit/miss/eviction outcome *offline* with sort/group-based NumPy primitives,
-exploiting the classical stack property of LRU (Mattson et al., 1970):
+hit mask *offline* with sort/group-based NumPy primitives, exploiting the
+classical stack property of LRU (Mattson et al., 1970):
 
     an access to a true-LRU set-associative cache **hits iff its per-set
     stack distance is < ways**,
@@ -26,19 +26,15 @@ Step 3 works on the *whole* set-grouped trace at once: because every access
 counted by both terms of the difference and cancel exactly (see
 ``docs/simulation_model.md`` §3a for the algebra).
 
-Eviction totals come from conservation instead of replay: a set's occupancy
-equals misses-in minus evictions-out, and its final occupancy is
-``min(distinct lines, ways)``.
-
-Everything here is a pure function of the trace — the stateful cache
-objects in :mod:`repro.cachesim.cache` encode their current contents as a
-warm-start prefix and delegate to :func:`simulate_set_lru`.
+Everything here is a pure function of the trace:
+:func:`repro.cachesim.cache.replay` turns :func:`set_stack_distances` into
+the hit mask of one cold-cache replay, and
+:mod:`repro.cachesim.stackdist` profiles :func:`stack_distances_vectorized`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -47,8 +43,6 @@ __all__ = [
     "previous_occurrence",
     "stack_distances_vectorized",
     "set_stack_distances",
-    "LRUSimOutcome",
-    "simulate_set_lru",
 ]
 
 
@@ -185,125 +179,3 @@ def set_stack_distances(
     distances = np.empty(len(lines), dtype=np.int64)
     distances[order] = sd_grouped
     return distances, sets
-
-
-@dataclass(frozen=True)
-class LRUSimOutcome:
-    """Result of one offline LRU replay.
-
-    ``hits`` aligns with the input trace (warm-start prefix removed);
-    ``evictions`` counts suffix-only capacity evictions; the final state is
-    reported as parallel arrays grouped by set, each set's residents in LRU
-    order (least recent first) — exactly an ``OrderedDict``'s insert order.
-    """
-
-    hits: np.ndarray
-    evictions: int
-    state_sets: np.ndarray
-    state_lines: np.ndarray
-
-
-def _trailing_per_group(group_keys: np.ndarray, ways: int) -> np.ndarray:
-    """Mask keeping the trailing ``ways`` entries of each contiguous group."""
-    m = len(group_keys)
-    starts = np.empty(m, dtype=bool)
-    starts[0] = True
-    np.not_equal(group_keys[1:], group_keys[:-1], out=starts[1:])
-    group_id = np.cumsum(starts) - 1
-    group_start = np.flatnonzero(starts)
-    group_len = np.diff(np.append(group_start, m))
-    rank = np.arange(m) - group_start[group_id]
-    return rank >= group_len[group_id] - ways
-
-
-def simulate_set_lru(
-    lines: np.ndarray,
-    n_sets: int,
-    ways: int,
-    *,
-    warm_lines: Optional[np.ndarray] = None,
-) -> LRUSimOutcome:
-    """Replay a line-id trace against an LRU set-associative cache, offline.
-
-    ``warm_lines`` encodes pre-existing cache contents as a synthetic access
-    prefix: each set's residents in LRU order (least recent first).  The
-    encoding is exact for LRU — replaying the residents re-creates the
-    per-set stacks — so hit/miss/eviction counts of the suffix match a
-    stateful replay bit for bit.
-
-    The whole pipeline shares two stable argsorts: one groups the trace by
-    set, one groups the *collapsed* trace by line — the latter yields both
-    the previous-occurrence pointers (for distances) and the last-occurrence
-    ranking (for the final cache state), whose positions in the set-grouped
-    trace are per-set contiguous, so sorting them by position alone already
-    groups the residents by set in LRU order.
-    """
-    lines = np.asarray(lines, dtype=np.int64)
-    n_warm = 0 if warm_lines is None else len(warm_lines)
-    if n_warm:
-        combined = np.concatenate([np.asarray(warm_lines, np.int64), lines])
-    else:
-        combined = lines
-    n = len(combined)
-    if n == 0:
-        return LRUSimOutcome(
-            hits=np.zeros(0, dtype=bool), evictions=0,
-            state_sets=np.empty(0, np.int64), state_lines=np.empty(0, np.int64),
-        )
-    if n_sets == 1:
-        order = None
-        grouped = combined
-    else:
-        order = np.argsort(combined % n_sets, kind="stable")
-        grouped = combined[order]
-
-    # Collapse immediate repeats (guaranteed hits, invisible to every other
-    # access's distinct-line count — see :func:`_collapsed_distances`).
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(grouped[1:], grouped[:-1], out=keep[1:])
-    compressed = grouped[keep]
-    m = len(compressed)
-
-    # One stable argsort by line serves prev-occurrence AND last-occurrence.
-    lorder = np.argsort(compressed, kind="stable")
-    lsorted = compressed[lorder]
-    same = lsorted[1:] == lsorted[:-1]
-    prev_in_order = np.full(m, -1, dtype=np.int64)
-    prev_in_order[1:][same] = lorder[:-1][same]
-    prev = np.empty(m, dtype=np.int64)
-    prev[lorder] = prev_in_order
-    sd = _distances_from_prev(prev)
-
-    hits_grouped = np.ones(n, dtype=bool)  # collapsed repeats always hit
-    hits_grouped[keep] = (sd >= 0) & (sd < ways)
-    if order is None:
-        hits_combined = hits_grouped
-    else:
-        hits_combined = np.empty(n, dtype=bool)
-        hits_combined[order] = hits_grouped
-    hits = hits_combined[n_warm:]
-    misses = int(len(lines) - hits.sum())
-
-    # Final state: distinct lines ranked by last touch.  Positions in the
-    # set-grouped trace are contiguous per set, so sorting the last-touch
-    # positions groups residents by set with ascending recency inside.
-    is_last = np.empty(m, dtype=bool)
-    np.logical_not(same, out=is_last[:-1])
-    is_last[-1] = True
-    distinct = lsorted[is_last]
-    by_recency = np.argsort(lorder[is_last])
-    resident_lines = distinct[by_recency]
-    resident_sets = resident_lines % n_sets
-    keep_state = _trailing_per_group(resident_sets, ways)
-    state_sets = resident_sets[keep_state]
-    state_lines = resident_lines[keep_state]
-    # Occupancy conservation: every miss inserts one line, every eviction
-    # removes one, warm lines were all resident (no prefix evictions).
-    evictions = n_warm + misses - len(state_lines)
-    return LRUSimOutcome(
-        hits=hits,
-        evictions=int(evictions),
-        state_sets=state_sets,
-        state_lines=state_lines,
-    )

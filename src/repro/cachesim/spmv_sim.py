@@ -1,9 +1,9 @@
 """SpMV / FSAI-application cache simulation entry points.
 
 These functions tie together trace generation (:mod:`repro.cachesim.trace`)
-and the cache models (:mod:`repro.cachesim.cache`) and report the metric the
-paper's Figure 3 uses: **L1 data-cache misses attributed to the multiplied
-vector, normalised by the number of stored matrix entries**.
+and one cold L1 replay (:func:`repro.cachesim.cache.replay`) and report the
+metric the paper's Figure 3 uses: **L1 data-cache misses attributed to the
+multiplied vector, normalised by the number of stored matrix entries**.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-
 from repro import trace as tracing
 from repro.arch.address import ArrayPlacement
 from repro.arch.machine import MachineModel
-from repro.cachesim.hierarchy import CacheHierarchy
+from repro.cachesim.cache import replay
 from repro.cachesim.trace import TraceResult, fsai_apply_trace, spmv_trace
 from repro.sparse.pattern import Pattern
 
@@ -40,9 +39,6 @@ class SpMVSimResult:
     nnz:
         Stored entries of the simulated pattern(s) — the normaliser of the
         paper's Figure 3 metric.
-    memory_misses:
-        Accesses that missed every simulated level (main-memory transfers);
-        feeds the roofline cost model.
     """
 
     x_accesses: int
@@ -50,7 +46,6 @@ class SpMVSimResult:
     total_accesses: int
     total_misses: int
     nnz: int
-    memory_misses: int
 
     @property
     def x_miss_ratio(self) -> float:
@@ -64,28 +59,22 @@ class SpMVSimResult:
 
 
 def _run(
-    trace: TraceResult, hierarchy: CacheHierarchy, nnz: int, *,
-    span_name: str = "cachesim.spmv_sim",
+    trace: TraceResult, machine: MachineModel, nnz: int, *, span_name: str
 ) -> SpMVSimResult:
     with tracing.span(span_name, accesses=len(trace.lines), nnz=nnz):
-        l1_hits = hierarchy.access_many(trace.lines)
+        hits = replay(trace.lines, machine.cache_levels[0])
         x_mask = trace.is_x
-        x_accesses = int(x_mask.sum())
-        x_misses = int((~l1_hits[x_mask]).sum())
-        l1 = hierarchy.l1.stats
         result = SpMVSimResult(
-            x_accesses=x_accesses,
-            x_misses=x_misses,
-            total_accesses=l1.accesses,
-            total_misses=l1.misses,
+            x_accesses=int(x_mask.sum()),
+            x_misses=int((~hits[x_mask]).sum()),
+            total_accesses=len(hits),
+            total_misses=len(hits) - int(hits.sum()),
             nnz=nnz,
-            memory_misses=hierarchy.memory_misses,
         )
         if tracing.enabled():
             tracing.add_counter("cachesim.l1_accesses", result.total_accesses)
             tracing.add_counter("cachesim.l1_misses", result.total_misses)
             tracing.add_counter("cachesim.x_misses", result.x_misses)
-            tracing.add_counter("cachesim.memory_misses", result.memory_misses)
     return result
 
 
@@ -95,37 +84,26 @@ def simulate_spmv(
     *,
     placement: Optional[ArrayPlacement] = None,
     include_streams: bool = True,
-    l1_only: bool = True,
-    backend: str = "vector",
 ) -> SpMVSimResult:
-    """Simulate one ``y = A x`` pass and report miss statistics.
+    """Simulate one ``y = A x`` pass through a cold L1 and report misses.
 
     Parameters
     ----------
     pattern:
         CSR pattern of the traversed matrix.
     machine:
-        Target machine (supplies cache geometry and line size).
+        Target machine; its first cache level (the L1) and line size are
+        simulated.
     placement:
         Placement of ``x``; defaults to line-aligned.
     include_streams:
         Include the streaming accesses of the matrix arrays and ``y``
         (cache pollution).  Disable for the idealised analysis used in
         property tests.
-    l1_only:
-        Simulate only the L1 (fast, and all the paper's Figure 3 needs);
-        ``False`` simulates the full hierarchy for memory-traffic numbers.
-    backend:
-        Cache replay engine: ``"vector"`` (offline sort-based engine) or
-        ``"reference"`` (per-access oracle loop); bit-identical results.
     """
     placement = placement or ArrayPlacement.aligned(machine.line_bytes)
     trace = spmv_trace(pattern, placement, include_streams=include_streams)
-    hierarchy = (
-        CacheHierarchy.l1_only(machine, backend=backend) if l1_only
-        else CacheHierarchy.for_machine(machine, backend=backend)
-    )
-    return _run(trace, hierarchy, pattern.nnz, span_name="cachesim.spmv_sim")
+    return _run(trace, machine, pattern.nnz, span_name="cachesim.spmv_sim")
 
 
 def simulate_fsai_application(
@@ -135,36 +113,21 @@ def simulate_fsai_application(
     gt_pattern: Optional[Pattern] = None,
     placement: Optional[ArrayPlacement] = None,
     include_streams: bool = True,
-    l1_only: bool = True,
-    repetitions: int = 1,
-    backend: str = "vector",
 ) -> SpMVSimResult:
-    """Simulate the preconditioner application ``G^T (G p)``.
+    """Simulate the preconditioner application ``G^T (G p)`` through a cold L1.
 
-    ``gt_pattern`` defaults to the transpose of ``g_pattern``; FSAIE(full)
-    passes its separately-extended transpose pattern.  ``repetitions`` plays
-    the application several times back-to-back (warm-cache steady state, as
-    in the paper's repeated-solve measurements); statistics cover all
-    repetitions.
+    ``gt_pattern`` is the pattern of the second product's matrix; it
+    defaults to the transpose of ``g_pattern`` (callers holding an
+    :class:`~repro.fsai.precond.FSAIApplication` pass its cached
+    ``gt_pattern``).
     """
     placement = placement or ArrayPlacement.aligned(machine.line_bytes)
     gt = gt_pattern if gt_pattern is not None else g_pattern.transpose()
     trace = fsai_apply_trace(
         g_pattern, gt, placement, include_streams=include_streams
     )
-    if repetitions > 1:
-        reps = trace
-        for _ in range(repetitions - 1):
-            reps = reps.concat(trace)
-        trace = reps
-    hierarchy = (
-        CacheHierarchy.l1_only(machine, backend=backend) if l1_only
-        else CacheHierarchy.for_machine(machine, backend=backend)
-    )
     nnz = (g_pattern.nnz + gt.nnz) // 2  # normalise by nnz(G) as the paper does
-    return _run(
-        trace, hierarchy, nnz * repetitions, span_name="cachesim.fsai_apply_sim"
-    )
+    return _run(trace, machine, nnz, span_name="cachesim.fsai_apply_sim")
 
 
 def misses_per_nnz(

@@ -157,9 +157,10 @@ def fsai_apply_trace(
 ) -> TraceResult:
     """Trace of the FSAI application ``q = G p`` followed by ``z = G^T q``.
 
-    ``gt_pattern`` must be the CSR pattern of the matrix applied in the
-    second product (i.e. the transpose pattern of ``G`` as stored, per §4.3
-    the library stores ``G^T`` explicitly in CSR).  The multiplied vector of
+    ``gt_pattern`` is the CSR pattern of the second product's matrix, the
+    transpose of ``G``'s pattern: the trace models the paper's §4.3
+    layout, which stores ``G^T`` explicitly in CSR and runs two row-order
+    SpMVs.  The multiplied vector of
     the first product (``p``) lives in ``REGION_X``; the intermediate ``q``
     is the multiplied vector of the second product and lives in ``REGION_Z``
     — both are attributed as "x" accesses, matching the paper's Figure 3

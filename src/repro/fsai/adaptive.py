@@ -53,7 +53,7 @@ from repro.fsai.frobenius import (
 from repro.fsai.precond import FSAIApplication
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
-from repro.sparse.validate import require_positive_diagonal
+from repro.sparse.validate import require_finite, require_positive_diagonal
 
 __all__ = ["adaptive_pattern", "setup_fspai", "setup_fspai_cache_extended"]
 
@@ -77,6 +77,7 @@ def adaptive_pattern(
         Stop growing a row when its best candidate's normalised residual
         is at most this value.
     """
+    require_finite(a)
     require_positive_diagonal(a)
     if max_new_per_row < 0:
         raise ValueError("invalid growth budget")

@@ -5,7 +5,7 @@ vector ``x``, extend each row of ``S`` with the columns whose ``x`` elements
 share a cache line with an element the row already accesses.  By
 construction the extended row touches **exactly the same set of cache
 lines** as the original row — the central invariant of the paper, asserted
-by the property-based tests via :class:`repro.cachesim.InfiniteCache`.
+row by row by the property-based tests in ``tests/fsai/test_fillin.py``.
 
 The implementation is fully vectorised: one pass builds all (row, line)
 pairs, a second expands each pair into its clipped column block, and the

@@ -41,6 +41,7 @@ from repro.kernels import get_backend
 from repro.kernels.base import KernelBackend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
+from repro.sparse.validate import require_finite
 
 __all__ = [
     "DEFAULT_PRECALC_RTOL",
@@ -83,6 +84,7 @@ def resolve_setup_backend(backend: Optional[str] = None) -> str:
 
 
 def _check_pattern(a: CSRMatrix, pattern: Pattern) -> None:
+    require_finite(a)
     if a.n_rows != a.n_cols:
         raise ShapeError("FSAI requires a square matrix")
     if pattern.shape != a.shape:

@@ -1,15 +1,14 @@
 """FSAI application object: ``z = G^T (G r)``.
 
 The paper stores ``G_ext`` and ``G_ext^T`` in CSR and performs two
-row-order SpMVs (§4.3).  Here the common case — ``G^T`` *is* the
-transpose of ``G`` — routes through the kernel registry's fused
+row-order SpMVs (§4.3).  Here every builder — FSAIE(full) included —
+returns ``FSAIApplication(g)``, and the application routes through the
+kernel registry's fused
 :meth:`~repro.kernels.base.KernelBackend.fsai_apply`, which performs both
 products from ``G``'s stored structure alone (the scatter half uses the
 cached column-grouped view), with all intermediates in preallocated
-workspaces.  The explicit transpose is only materialised lazily for
-callers that need its pattern (the cache simulator replays it), or when a
-*differently shaped* ``G^T`` is supplied, as FSAIE(full)'s doubly-extended
-variant allows.
+workspaces.  Only the *pattern* of ``G^T`` is ever materialised, lazily,
+for the cache simulator, which replays the paper's two-SpMV layout.
 """
 
 from __future__ import annotations
@@ -33,30 +32,18 @@ class FSAIApplication:
     Parameters
     ----------
     g:
-        Lower-triangular factor ``G`` in CSR.
-    g_transpose:
-        Explicit CSR storage of ``G^T``.  When omitted (the usual case)
-        the application is fused over ``G`` alone and the transpose is
-        computed lazily only if :attr:`gt`/:attr:`gt_pattern` is read.
-        FSAIE(full) builds ``G`` from a doubly-extended transpose pattern,
-        so both factors always share values but may have been *shaped* by
-        different extension steps — passing one switches the application
-        to two explicit SpMVs.
+        Lower-triangular factor ``G`` in CSR.  The application is fused
+        over ``G`` alone.
     """
 
-    def __init__(self, g: CSRMatrix, g_transpose: Optional[CSRMatrix] = None) -> None:
+    def __init__(self, g: CSRMatrix) -> None:
         if g.n_rows != g.n_cols:
             raise ShapeError("G must be square")
         self.g = g
-        if g_transpose is not None and g_transpose.shape != g.shape:
-            raise ShapeError("G^T shape mismatch")
-        self._gt = g_transpose
-        self._gt_explicit = g_transpose is not None
         self.n = g.n_rows
+        self._gt_pattern: Optional[Pattern] = None
         # Lazily-allocated workspaces: the fused-apply intermediate t = G r
-        # and the SpMV gather scratch shared by both products (equal nnz
-        # when gt is a true transpose, but not necessarily for FSAIE(full),
-        # hence the max).
+        # and the gather scratch of both products.
         self._tmp: Optional[np.ndarray] = None
         self._scratch: Optional[np.ndarray] = None
         # The kernel backend is resolved once at first application and
@@ -72,19 +59,9 @@ class FSAIApplication:
         self._multi_op = None
         self._multi_k = 0
 
-    @property
-    def gt(self) -> CSRMatrix:
-        """Explicit ``G^T`` (lazily transposed unless supplied)."""
-        if self._gt is None:
-            self._gt = self.g.transpose()
-        return self._gt
-
     def _workspaces(self):
         if self._scratch is None:
-            nnz = self.g.nnz
-            if self._gt_explicit:
-                nnz = max(nnz, self.gt.nnz)
-            self._scratch = np.empty(nnz)
+            self._scratch = np.empty(self.g.nnz)
             self._tmp = np.empty(self.n)
         return self._tmp, self._scratch
 
@@ -104,18 +81,7 @@ class FSAIApplication:
     def _bind_apply(self):
         """Resolve the backend and bind the fused-apply handle once."""
         tmp, scratch = self._workspaces()
-        backend = get_backend()
-        if not self._gt_explicit:
-            return backend.fsai_apply_op(self.g, tmp, scratch)
-        # Differently-shaped explicit transpose: two row-order SpMVs.
-        g_op = backend.spmv_op(self.g, scratch[: self.g.nnz])
-        gt_op = backend.spmv_op(self.gt, scratch[: self.gt.nnz])
-
-        def op(r: FloatArray, out: FloatArray) -> FloatArray:
-            g_op(r, tmp)
-            return gt_op(tmp, out)
-
-        return op
+        return get_backend().fsai_apply_op(self.g, tmp, scratch)
 
     def apply_multi(self, r: FloatArray) -> FloatArray:
         """Blocked ``Z = G^T (G R)`` over an ``(n, k)`` residual block."""
@@ -133,25 +99,13 @@ class FSAIApplication:
 
     def _bind_apply_multi(self, k: int):
         """Bind the blocked-apply handle (and its workspaces) for width ``k``."""
-        backend = get_backend()
-        tmp = np.empty((self.n, k))
-        if not self._gt_explicit:
-            scratch = np.empty((self.g.nnz, k))
-            return backend.fsai_apply_multi_op(self.g, tmp, scratch)
-        # Differently-shaped explicit transpose: two row-order SpMMs.
-        g_op = backend.spmm_op(self.g, np.empty((self.g.nnz, k)))
-        gt_op = backend.spmm_op(self.gt, np.empty((self.gt.nnz, k)))
-
-        def op(r: FloatArray, out: FloatArray) -> FloatArray:
-            g_op(r, tmp)
-            return gt_op(tmp, out)
-
-        return op
+        return get_backend().fsai_apply_multi_op(
+            self.g, np.empty((self.n, k)), np.empty((self.g.nnz, k))
+        )
 
     def flops_per_application(self) -> int:
         """2 flops per stored entry and product."""
-        gt_nnz = self.gt.nnz if self._gt_explicit else self.g.nnz
-        return 2 * (self.g.nnz + gt_nnz)
+        return 4 * self.g.nnz
 
     @property
     def g_pattern(self) -> Pattern:
@@ -160,12 +114,10 @@ class FSAIApplication:
 
     @property
     def gt_pattern(self) -> Pattern:
-        """Pattern of the second product's matrix (``G^T``)."""
-        return self.gt.pattern
-
-    def factor_nnz(self) -> int:
-        """Stored entries of ``G`` (the paper's %NNZ baseline quantity)."""
-        return self.g.nnz
+        """Pattern of the second product's matrix (``G^T``), cached."""
+        if self._gt_pattern is None:
+            self._gt_pattern = self.g.pattern.transpose()
+        return self._gt_pattern
 
     def as_explicit_inverse_approx(self) -> np.ndarray:
         """Dense ``G^T G`` — the explicit ``A^{-1}`` approximation.

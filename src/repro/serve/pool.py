@@ -63,6 +63,7 @@ from repro.serve.shm import (
 )
 from repro.solvers.cg import DEFAULT_MAX_ITERATIONS, DEFAULT_RTOL
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.validate import require_finite
 
 __all__ = ["MultiProcessClient", "shard_for"]
 
@@ -521,13 +522,16 @@ class MultiProcessClient:
         """Publish into the shared store and attach on the owning shard.
 
         Raises :class:`~repro.errors.ServiceClosedError` when the pool is
-        closing, and :class:`~repro.errors.WorkerCrashedError` when the
-        shard's command queue refuses the attach on every retry.  The spec
-        stays registered either way, so a respawn's replay still attaches
-        it and a retried ``register`` succeeds.
+        closing, :class:`~repro.errors.MatrixFormatError` for a NaN or
+        infinite entry (before anything is published), and
+        :class:`~repro.errors.WorkerCrashedError` when the shard's command
+        queue refuses the attach on every retry.  A spec whose attach failed
+        stays registered, so a respawn's replay still attaches it and a
+        retried ``register`` succeeds.
         """
         if self._closing:
             raise ServiceClosedError("pool is not accepting requests")
+        require_finite(matrix)
         spec = self.store.publish(matrix, method=method, config=config)
         shard = shard_for(spec.fingerprint, self.n_workers)
         with self._lock:

@@ -9,16 +9,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import NotSPDError, NotSymmetricError, ShapeError
+from repro.errors import MatrixFormatError, NotSPDError, NotSymmetricError, ShapeError
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
+    "require_finite",
     "require_square",
     "require_symmetric",
     "require_positive_diagonal",
     "check_spd_sample",
     "gershgorin_bounds",
 ]
+
+
+def require_finite(a: CSRMatrix) -> None:
+    """Raise :class:`MatrixFormatError` at the first NaN or infinite entry.
+
+    The FSAI setups and serving's ``register`` call this before any
+    arithmetic on ``a``'s values, so non-finite input ends in one typed
+    error instead of numpy warnings and a misleading ``NotSPDError``.
+    """
+    finite = np.isfinite(a.data)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        i = int(np.searchsorted(a.indptr, k, side="right")) - 1
+        raise MatrixFormatError(
+            f"non-finite value {a.data[k]} at ({i}, {int(a.indices[k])})"
+        )
 
 
 def require_square(a: CSRMatrix) -> None:

@@ -1,117 +1,66 @@
-"""Unit tests for repro.cachesim.cache (exact LRU model)."""
+"""Unit tests for repro.cachesim.cache (cold true-LRU replay)."""
 
 import numpy as np
-import pytest
 
 from repro.arch.machine import CacheLevelSpec
-from repro.cachesim.cache import CacheStats, InfiniteCache, SetAssociativeCache
+from repro.cachesim.cache import CACHE_BACKENDS, replay
 
 
-def tiny_cache(ways=2, sets=2):
+def tiny_spec(ways=2, sets=2):
     # sets*ways lines of 64B.
-    return SetAssociativeCache(
-        CacheLevelSpec("T", sets * ways * 64, ways, 64)
-    )
+    return CacheLevelSpec("T", sets * ways * 64, ways, 64)
+
+
+def hits_of(stream, spec):
+    """Hit mask on every backend, asserted equal; returns it as a list."""
+    masks = [replay(stream, spec, backend=b) for b in CACHE_BACKENDS]
+    for mask in masks[1:]:
+        assert np.array_equal(mask, masks[0])
+    return masks[0].tolist()
 
 
 class TestSetAssociative:
     def test_compulsory_miss_then_hit(self):
-        c = tiny_cache()
-        assert c.access(0) is False
-        assert c.access(0) is True
-        assert c.stats.misses == 1 and c.stats.hits == 1
+        assert hits_of([0, 0], tiny_spec()) == [False, True]
 
     def test_set_mapping(self):
-        c = tiny_cache(ways=1, sets=2)
-        # lines 0 and 2 both map to set 0 with 1 way -> conflict.
-        c.access(0)
-        c.access(2)
-        assert c.access(0) is False
-        assert c.stats.evictions >= 1
+        spec = tiny_spec(ways=1, sets=2)
+        # lines 0 and 2 both map to set 0 with 1 way -> conflict ...
+        assert hits_of([0, 2, 0], spec) == [False, False, False]
+        # ... while line 1 lives in set 1 and leaves line 0 resident.
+        assert hits_of([0, 1, 0], spec) == [False, False, True]
 
     def test_lru_order(self):
-        c = tiny_cache(ways=2, sets=1)
-        c.access(0)
-        c.access(1)
-        c.access(0)        # 1 is now LRU
-        c.access(2)        # evicts 1
-        assert c.access(0) is True
-        assert c.access(1) is False
+        spec = tiny_spec(ways=2, sets=1)
+        # After 0 1 0, line 1 is LRU, so 2 evicts it and 0 survives.
+        assert hits_of([0, 1, 0, 2, 0, 1], spec) == [
+            False, False, True, False, True, False,
+        ]
 
     def test_access_many_matches_scalar(self):
-        stream = np.array([0, 1, 2, 0, 3, 1, 0, 2, 5, 0])
-        c1, c2 = tiny_cache(), tiny_cache()
-        mask = c1.access_many(stream)
-        scalar = np.array([c2.access(x) for x in stream])
-        assert np.array_equal(mask, scalar)
-        assert c1.stats.misses == c2.stats.misses
+        """The vector replay equals the per-access walk on a trace long
+        enough to take the engine path."""
+        stream = np.tile([0, 1, 2, 0, 3, 1, 0, 2, 5, 0], 8)
+        spec = tiny_spec()
+        assert np.array_equal(
+            replay(stream, spec), replay(stream, spec, backend="reference")
+        )
 
     def test_capacity_eviction(self):
-        c = tiny_cache(ways=2, sets=2)  # capacity 4 lines
-        c.access_many(np.arange(8))
-        assert c.resident_lines == 4
-        assert c.stats.misses == 8
+        spec = tiny_spec(ways=2, sets=2)  # capacity 4 lines
+        # A cyclic sweep over 8 lines thrashes LRU: every access misses.
+        assert not any(hits_of(np.tile(np.arange(8), 2), spec))
+        # Four lines fit: the second sweep hits throughout.
+        assert hits_of(np.tile(np.arange(4), 2), spec) == [False] * 4 + [True] * 4
 
     def test_working_set_within_capacity_all_hits(self):
-        c = tiny_cache(ways=4, sets=4)  # 16 lines
         stream = np.tile(np.arange(16), 5)
-        c.access_many(stream)
-        assert c.stats.misses == 16  # compulsory only
-        assert c.stats.hits == 64
+        hits = hits_of(stream, tiny_spec(ways=4, sets=4))  # 16 lines
+        assert hits.count(False) == 16  # compulsory only
+        assert hits.count(True) == 64
 
     def test_reset(self):
-        c = tiny_cache()
-        c.access(0)
-        c.reset()
-        assert c.stats.accesses == 0
-        assert c.access(0) is False
-
-    def test_contains_non_mutating(self):
-        c = tiny_cache()
-        c.access(0)
-        assert c.contains(0)
-        assert not c.contains(1)
-        assert c.stats.accesses == 1
-
-
-class TestInfiniteCache:
-    def test_only_compulsory(self):
-        c = InfiniteCache()
-        stream = np.array([0, 1, 0, 2, 1, 0, 3])
-        c.access_many(stream)
-        assert c.stats.misses == 4
-        assert c.stats.hits == 3
-
-    def test_never_evicts(self):
-        c = InfiniteCache()
-        c.access_many(np.arange(10_000))
-        assert all(c.contains(i) for i in (0, 9_999))
-
-    def test_scalar_and_batch_agree(self):
-        c1, c2 = InfiniteCache(), InfiniteCache()
-        stream = np.array([5, 5, 7, 5, 9])
-        mask = c1.access_many(stream)
-        scalar = np.array([c2.access(x) for x in stream])
-        assert np.array_equal(mask, scalar)
-
-    def test_reset(self):
-        c = InfiniteCache()
-        c.access(1)
-        c.reset()
-        assert not c.contains(1)
-
-
-class TestCacheStats:
-    def test_ratios(self):
-        s = CacheStats(accesses=10, hits=7, misses=3)
-        assert s.miss_ratio == pytest.approx(0.3)
-        assert s.hit_ratio == pytest.approx(0.7)
-
-    def test_empty_ratios(self):
-        assert CacheStats().miss_ratio == 0.0
-
-    def test_merge(self):
-        a = CacheStats(10, 7, 3, 1)
-        b = CacheStats(5, 2, 3, 0)
-        m = a.merge(b)
-        assert (m.accesses, m.hits, m.misses, m.evictions) == (15, 9, 6, 1)
+        """Every replay starts from an empty cache."""
+        spec = tiny_spec()
+        assert hits_of([0], spec) == [False]
+        assert hits_of([0], spec) == [False]

@@ -1,10 +1,11 @@
 """Property tests: the vectorized engine is bit-exact vs the reference loop.
 
 The offline sort/merge-count engine (:mod:`repro.cachesim.engine`) must
-reproduce the per-access ``OrderedDict`` oracle *exactly* — same hit mask,
-same counters, same final cache state including per-set LRU order — over
-randomized traces spanning set counts, associativities and line ranges, and
-over the repeat-heavy traces the collapse fast-path targets.
+reproduce the per-access ``OrderedDict`` oracle
+(``replay(..., backend="reference")``) *exactly* — same hit mask — over
+randomized traces spanning set counts, associativities and line ranges,
+over the repeat-heavy traces the collapse fast-path targets, and over
+production traces of the campaign.
 """
 
 import numpy as np
@@ -12,15 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch.address import ArrayPlacement
 from repro.arch.machine import CacheLevelSpec
-from repro.cachesim.cache import SetAssociativeCache
-from repro.cachesim.engine import (
-    set_stack_distances,
-    simulate_set_lru,
-    stack_distances_vectorized,
-)
+from repro.arch.presets import SKYLAKE
+from repro.cachesim.cache import replay
+from repro.cachesim.engine import set_stack_distances, stack_distances_vectorized
 from repro.cachesim.stackdist import stack_distances
+from repro.cachesim.trace import fsai_apply_trace, spmv_trace
+from repro.collection.suite import get_case
 from repro.errors import ConfigurationError
+from repro.fsai.extended import setup_fsai, setup_fsaie_full
+from repro.perf.costmodel import scale_caches
 
 # Traces long enough to cross the vector-dispatch threshold and short enough
 # for hypothesis throughput; line ids deliberately collide across sets.
@@ -42,78 +45,29 @@ repeaty = st.lists(
 geometries = st.tuples(st.sampled_from([1, 2, 4, 8]), st.sampled_from([1, 2, 4, 8]))
 
 
-def _reference_cache(n_sets: int, ways: int) -> SetAssociativeCache:
-    spec = CacheLevelSpec("REF", n_sets * ways * 64, ways, 64)
-    return SetAssociativeCache(spec, backend="reference")
+def _spec(n_sets: int, ways: int) -> CacheLevelSpec:
+    return CacheLevelSpec("REF", n_sets * ways * 64, ways, 64)
 
 
-def _state_of(cache: SetAssociativeCache):
-    """(set index, line, LRU rank) triples of the live OrderedDict state."""
-    out = []
-    for idx, s in enumerate(cache._sets):
-        for rank, line in enumerate(s.keys()):
-            out.append((idx, line, rank))
-    return out
+def _assert_engine_matches_oracle(trace: np.ndarray, n_sets: int, ways: int):
+    """Engine mask (no short-trace dispatch) and ``replay`` equal the oracle."""
+    spec = _spec(n_sets, ways)
+    ref_hits = replay(trace, spec, backend="reference")
+    sd, _ = set_stack_distances(trace, n_sets)
+    assert np.array_equal((sd >= 0) & (sd < ways), ref_hits)
+    assert np.array_equal(replay(trace, spec), ref_hits)
 
 
 class TestEngineVsReference:
     @given(traces, geometries)
     @settings(max_examples=120, deadline=None)
     def test_simulate_matches_reference_replay(self, trace, geom):
-        n_sets, ways = geom
-        ref = _reference_cache(n_sets, ways)
-        ref_hits = ref.access_many(trace)
-        outcome = simulate_set_lru(trace, n_sets, ways)
-        assert np.array_equal(outcome.hits, ref_hits)
-        assert outcome.evictions == ref.stats.evictions
-        engine_state = list(
-            zip(outcome.state_sets.tolist(), outcome.state_lines.tolist())
-        )
-        ref_state = [(s, line) for s, line, _ in _state_of(ref)]
-        assert engine_state == ref_state  # same residents, same LRU order
+        _assert_engine_matches_oracle(trace, *geom)
 
     @given(repeaty, geometries)
     @settings(max_examples=120, deadline=None)
     def test_repeat_heavy_traces(self, trace, geom):
-        n_sets, ways = geom
-        ref = _reference_cache(n_sets, ways)
-        ref_hits = ref.access_many(trace)
-        outcome = simulate_set_lru(trace, n_sets, ways)
-        assert np.array_equal(outcome.hits, ref_hits)
-        assert outcome.evictions == ref.stats.evictions
-
-    @given(traces, traces, geometries)
-    @settings(max_examples=80, deadline=None)
-    def test_warm_start_equals_stateful_continuation(self, first, second, geom):
-        """Splitting a trace across two access_many calls (vector backend
-        carries state via the warm prefix) must match one reference run."""
-        n_sets, ways = geom
-        ref = _reference_cache(n_sets, ways)
-        h1 = ref.access_many(first)
-        h2 = ref.access_many(second)
-        spec = CacheLevelSpec("VEC", n_sets * ways * 64, ways, 64)
-        vec = SetAssociativeCache(spec, backend="vector")
-        # Bypass the short-trace dispatch so the engine path is always used.
-        v1 = vec._access_many_vector(np.asarray(first, dtype=np.int64))
-        v2 = vec._access_many_vector(np.asarray(second, dtype=np.int64))
-        assert np.array_equal(v1, h1) and np.array_equal(v2, h2)
-        assert vec.stats == ref.stats
-        assert _state_of(vec) == _state_of(ref)
-
-    @given(traces, st.lists(st.integers(0, 40), min_size=1, max_size=8), geometries)
-    @settings(max_examples=60, deadline=None)
-    def test_mixed_scalar_and_batch(self, trace, probes, geom):
-        """Scalar accesses interleaved with vector batches stay exact."""
-        n_sets, ways = geom
-        ref = _reference_cache(n_sets, ways)
-        spec = CacheLevelSpec("VEC", n_sets * ways * 64, ways, 64)
-        vec = SetAssociativeCache(spec, backend="vector")
-        ref.access_many(trace)
-        vec._access_many_vector(np.asarray(trace, dtype=np.int64))
-        for p in probes:
-            assert vec.contains(p) == ref.contains(p)
-            assert vec.access(p) == ref.access(p)
-        assert vec.stats == ref.stats
+        _assert_engine_matches_oracle(trace, *geom)
 
     @given(traces)
     @settings(max_examples=100, deadline=None)
@@ -129,12 +83,35 @@ class TestEngineVsReference:
         sd, sets = set_stack_distances(trace, n_sets)
         assert np.array_equal(sets, trace % n_sets)
         for ways in (1, 2, 4):
-            ref = _reference_cache(n_sets, ways)
-            ref_hits = ref.access_many(trace)
+            ref_hits = replay(trace, _spec(n_sets, ways), backend="reference")
             assert np.array_equal((sd >= 0) & (sd < ways), ref_hits)
 
     def test_unknown_backend_rejected(self):
-        spec = CacheLevelSpec("X", 4 * 2 * 64, 2, 64)
         with pytest.raises(ConfigurationError):
-            SetAssociativeCache(spec, backend="turbo")
+            replay(np.arange(4), _spec(4, 2), backend="turbo")
 
+
+#: The campaign's cost-model L1: Skylake at 1/8 cache scale, 8 sets x 8 ways.
+CAMPAIGN_L1 = scale_caches(SKYLAKE, 0.125).cache_levels[0]
+
+
+class TestProductionTraces:
+    """Both backends agree on the campaign's own SpMV and G^T(G p) traces."""
+
+    @pytest.mark.parametrize("case_id", [37, 72])
+    def test_backends_agree_on_campaign_traces(self, case_id):
+        assert (CAMPAIGN_L1.n_sets, CAMPAIGN_L1.associativity) == (8, 8)
+        a = get_case(case_id).build()
+        placement = ArrayPlacement.aligned(SKYLAKE.line_bytes)
+        traces = [spmv_trace(a.pattern, placement)]
+        for setup in (
+            setup_fsai(a), setup_fsaie_full(a, placement, filter_value=0.01)
+        ):
+            app = setup.application
+            traces.append(
+                fsai_apply_trace(app.g_pattern, app.gt_pattern, placement)
+            )
+        for trace in traces:
+            vec = replay(trace.lines, CAMPAIGN_L1)
+            ref = replay(trace.lines, CAMPAIGN_L1, backend="reference")
+            assert np.array_equal(vec, ref)

@@ -1,12 +1,8 @@
-"""Unit tests for repro.cachesim.hierarchy and repro.cachesim.trace."""
+"""Unit tests for repro.cachesim.trace."""
 
 import numpy as np
-import pytest
 
 from repro.arch.address import ArrayPlacement
-from repro.arch.machine import CacheLevelSpec
-from repro.arch.presets import SKYLAKE
-from repro.cachesim.hierarchy import CacheHierarchy
 from repro.cachesim.trace import (
     REGION_MATRIX,
     REGION_X,
@@ -25,48 +21,6 @@ def band_pattern(n, bandwidth=1):
             rows.append(i)
             cols.append(j)
     return Pattern.from_coo(n, n, np.array(rows), np.array(cols))
-
-
-class TestHierarchy:
-    def test_l2_sees_only_l1_misses(self):
-        h = CacheHierarchy([
-            CacheLevelSpec("L1", 2 * 64, 1, 64),
-            CacheLevelSpec("L2", 16 * 64, 2, 64),
-        ])
-        stream = np.array([0, 1, 0, 1, 2, 0])
-        h.access_many(stream)
-        stats = h.level_stats()
-        assert stats["L2"].accesses == stats["L1"].misses
-        assert stats["L1"].accesses == len(stream)
-
-    def test_l2_hit_after_l1_eviction(self):
-        h = CacheHierarchy([
-            CacheLevelSpec("L1", 1 * 64, 1, 64),   # 1 line
-            CacheLevelSpec("L2", 64 * 64, 4, 64),
-        ])
-        h.access_many(np.array([0, 1, 0]))  # 0 evicted from L1, still in L2
-        stats = h.level_stats()
-        assert stats["L2"].hits == 1
-
-    def test_memory_misses(self):
-        h = CacheHierarchy([CacheLevelSpec("L1", 2 * 64, 1, 64)])
-        h.access_many(np.array([0, 1, 2, 3]))
-        assert h.memory_misses == 4
-
-    def test_for_machine_builds_all_levels(self):
-        h = CacheHierarchy.for_machine(SKYLAKE)
-        assert [c.spec.name for c in h.caches] == ["L1", "L2", "L3"]
-        assert [c.spec.name for c in CacheHierarchy.l1_only(SKYLAKE).caches] == ["L1"]
-
-    def test_reset(self):
-        h = CacheHierarchy.l1_only(SKYLAKE)
-        h.access_many(np.array([1, 2, 3]))
-        h.reset()
-        assert h.l1.stats.accesses == 0
-
-    def test_requires_levels(self):
-        with pytest.raises(ValueError):
-            CacheHierarchy([])
 
 
 class TestTrace:

@@ -11,15 +11,22 @@ from hypothesis import strategies as st
 
 from repro.arch.address import ArrayPlacement
 from repro.arch.machine import CacheLevelSpec
-from repro.cachesim.cache import InfiniteCache, SetAssociativeCache
+from repro.cachesim.cache import replay
 from repro.cachesim.trace import spmv_trace
 from repro.sparse.pattern import Pattern
 
 streams = st.lists(st.integers(0, 63), min_size=1, max_size=300).map(np.asarray)
 
 
-def cache(ways: int, sets: int) -> SetAssociativeCache:
-    return SetAssociativeCache(CacheLevelSpec("T", sets * ways * 64, ways, 64))
+def misses(stream, ways: int, sets: int) -> int:
+    """L1 misses of one cold replay of ``stream``."""
+    hits = replay(stream, CacheLevelSpec("T", sets * ways * 64, ways, 64))
+    return int((~hits).sum())
+
+
+def never_evicting_misses(stream) -> int:
+    """Misses of a cache that never evicts: one set, a way per line."""
+    return misses(stream, len(np.unique(stream)), 1)
 
 
 class TestLRUInclusion:
@@ -28,45 +35,32 @@ class TestLRUInclusion:
     def test_more_ways_never_more_misses(self, stream, ways, sets):
         """LRU inclusion property: with the set count fixed, adding ways can
         only turn misses into hits (true-LRU is a stack algorithm per set)."""
-        small = cache(ways, sets)
-        big = cache(2 * ways, sets)
-        small.access_many(stream)
-        big.access_many(stream)
-        assert big.stats.misses <= small.stats.misses
+        assert misses(stream, 2 * ways, sets) <= misses(stream, ways, sets)
 
     @given(streams, st.sampled_from([1, 2, 4]))
     @settings(max_examples=80, deadline=None)
     def test_infinite_cache_lower_bounds_misses(self, stream, ways):
-        finite = cache(ways, 4)
-        infinite = InfiniteCache()
-        finite.access_many(stream)
-        infinite.access_many(stream)
-        assert infinite.stats.misses <= finite.stats.misses
+        assert never_evicting_misses(stream) <= misses(stream, ways, 4)
 
     @given(streams)
     @settings(max_examples=60, deadline=None)
     def test_compulsory_misses_equal_distinct_lines(self, stream):
-        infinite = InfiniteCache()
-        infinite.access_many(stream)
-        assert infinite.stats.misses == len(np.unique(stream))
+        assert never_evicting_misses(stream) == len(np.unique(stream))
 
     @given(streams, st.sampled_from([2, 4]))
     @settings(max_examples=60, deadline=None)
     def test_counters_are_consistent(self, stream, ways):
-        c = cache(ways, 2)
-        c.access_many(stream)
-        st_ = c.stats
-        assert st_.accesses == len(stream)
-        assert st_.hits + st_.misses == st_.accesses
-        assert c.resident_lines <= ways * 2
+        """The mask covers the trace, and no cache misses less than once
+        per distinct line."""
+        hits = replay(stream, CacheLevelSpec("T", 2 * ways * 64, ways, 64))
+        assert hits.shape == (len(stream),)
+        assert int((~hits).sum()) >= len(np.unique(stream))
 
     @given(streams, st.sampled_from([1, 2]))
     @settings(max_examples=60, deadline=None)
     def test_replay_determinism(self, stream, ways):
-        c1, c2 = cache(ways, 4), cache(ways, 4)
-        m1 = c1.access_many(stream)
-        m2 = c2.access_many(stream)
-        assert np.array_equal(m1, m2)
+        spec = CacheLevelSpec("T", 4 * ways * 64, ways, 64)
+        assert np.array_equal(replay(stream, spec), replay(stream, spec))
 
 
 @st.composite
@@ -102,7 +96,5 @@ class TestTraceProperties:
     def test_compulsory_x_misses_equal_lines_touched(self, p, offset):
         pl = ArrayPlacement.with_element_offset(64, offset)
         tr = spmv_trace(p, pl, include_streams=False)
-        infinite = InfiniteCache()
-        infinite.access_many(tr.lines)
         expected = len(np.unique(np.asarray(pl.line_of(p.indices))))
-        assert infinite.stats.misses == expected
+        assert never_evicting_misses(tr.lines) == expected

@@ -50,21 +50,12 @@ class TestSimulateSpmv:
         assert res.x_accesses == p.nnz
         assert 0 <= res.x_misses <= res.x_accesses
         assert res.total_accesses >= res.x_accesses
-        assert res.memory_misses == res.total_misses  # l1_only mode
+        assert res.x_misses <= res.total_misses <= res.total_accesses
 
     def test_x_misses_per_nnz(self):
         p = banded(256, 1)
         res = simulate_spmv(p, SMALL_SKX)
         assert res.x_misses_per_nnz == pytest.approx(res.x_misses / p.nnz)
-
-    def test_full_hierarchy_reduces_memory_misses(self):
-        rng = np.random.default_rng(1)
-        rows = np.repeat(np.arange(512), 4)
-        cols = rng.integers(0, 512, len(rows))
-        p = Pattern.from_coo(512, 512, rows, cols)
-        l1 = simulate_spmv(p, SMALL_SKX, l1_only=True)
-        full = simulate_spmv(p, SMALL_SKX, l1_only=False)
-        assert full.memory_misses <= l1.memory_misses
 
 
 class TestPaperClaims:
@@ -116,11 +107,3 @@ class TestFSAIApplication:
         )
         res = simulate_fsai_application(g, SMALL_SKX, gt_pattern=gt)
         assert res.x_accesses == g.nnz + gt.nnz
-
-    def test_repetitions_scale_counters(self):
-        g = banded(128, 2)
-        r1 = simulate_fsai_application(g, SMALL_SKX, repetitions=1)
-        r3 = simulate_fsai_application(g, SMALL_SKX, repetitions=3)
-        assert r3.x_accesses == 3 * r1.x_accesses
-        # Warm repetitions hit more: per-repetition misses can only drop.
-        assert r3.x_misses <= 3 * r1.x_misses

@@ -53,7 +53,7 @@ class TestFSAIApplication:
         a = csr_from_dense(d)
         g = compute_g(a, fsai_initial_pattern(a))
         app = FSAIApplication(g)
-        assert app.flops_per_application() == 2 * (g.nnz + app.gt.nnz)
+        assert app.flops_per_application() == 2 * (g.nnz + app.gt_pattern.nnz)
 
     def test_shape_check(self):
         d = random_spd_dense(6, seed=3)

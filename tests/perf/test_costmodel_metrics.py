@@ -86,8 +86,8 @@ class TestCostModel:
             ext.application.g_pattern, ext.application.gt_pattern
         )
         nnz_ratio = (
-            (ext.application.g.nnz + ext.application.gt.nnz)
-            / (base.application.g.nnz + base.application.gt.nnz)
+            (ext.application.g.nnz + ext.application.gt_pattern.nnz)
+            / (base.application.g.nnz + base.application.gt_pattern.nnz)
         )
         time_ratio = c_ext.seconds / c_base.seconds
         assert time_ratio < nnz_ratio
