@@ -14,6 +14,7 @@ from repro.errors import ShapeError
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
 from repro.sparse.symbolic import pattern_power, threshold_matrix
+from repro.sparse.validate import require_finite
 
 __all__ = ["fsai_initial_pattern"]
 
@@ -46,6 +47,9 @@ def fsai_initial_pattern(
     """
     if a.n_rows != a.n_cols:
         raise ShapeError(f"FSAI needs a square matrix, got {a.shape}")
+    if threshold > 0:
+        # Thresholding is the one pattern step that reads the values.
+        require_finite(a)
     base = threshold_matrix(a, threshold).pattern if threshold > 0 else a.pattern
     powered = pattern_power(base, level) if level > 1 else base
     return powered.tril().with_full_diagonal()

@@ -53,9 +53,10 @@ class FSAIApplication:
         # Construct a fresh application to pick up a backend switch.
         self._apply_op = None
         # Blocked-apply handle plus the block width it was bound for; the
-        # multi-RHS solver shrinks its block when columns converge, so the
-        # handle (and its (n, k)/(nnz, k) workspaces) rebinds on width
-        # change — rare (a handful of compactions per solve) by design.
+        # multi-RHS solver shrinks its block when rows converge, so the
+        # handle (and its (k, n) intermediate) rebinds on width change —
+        # rare (a handful of compactions per solve) by design.  The
+        # gather scratch is the single-vector one, reused for every row.
         self._multi_op = None
         self._multi_k = 0
 
@@ -84,23 +85,24 @@ class FSAIApplication:
         return get_backend().fsai_apply_op(self.g, tmp, scratch)
 
     def apply_multi(self, r: FloatArray) -> FloatArray:
-        """Blocked ``Z = G^T (G R)`` over an ``(n, k)`` residual block."""
+        """Blocked ``Z[j] = G^T (G R[j])`` over a ``(k, n)`` residual block."""
         return self.apply_multi_into(r, np.empty(r.shape))
 
     def apply_multi_into(self, r: FloatArray, out: FloatArray) -> FloatArray:
-        """As :meth:`apply_multi`, writing into the caller's ``(n, k)`` block."""
-        if r.ndim != 2 or r.shape[0] != self.n:
-            raise ShapeError(f"expected (n, k) block with n={self.n}")
+        """As :meth:`apply_multi`, writing into the caller's ``(k, n)`` block."""
+        if r.ndim != 2 or r.shape[1] != self.n:
+            raise ShapeError(f"expected (k, n) block with n={self.n}")
         op = self._multi_op
-        if op is None or self._multi_k != r.shape[1]:
-            op = self._multi_op = self._bind_apply_multi(r.shape[1])
-            self._multi_k = r.shape[1]
+        if op is None or self._multi_k != r.shape[0]:
+            op = self._multi_op = self._bind_apply_multi(r.shape[0])
+            self._multi_k = r.shape[0]
         return op(r, out)
 
     def _bind_apply_multi(self, k: int):
-        """Bind the blocked-apply handle (and its workspaces) for width ``k``."""
+        """Bind the blocked-apply handle and its ``(k, n)`` intermediate."""
+        _, scratch = self._workspaces()
         return get_backend().fsai_apply_multi_op(
-            self.g, np.empty((self.n, k)), np.empty((self.g.nnz, k))
+            self.g, np.empty((k, self.n)), scratch
         )
 
     def flops_per_application(self) -> int:

@@ -4,9 +4,12 @@ The paper's wall-time analysis (§2) shows PCG time is dominated by two
 memory-bound kernels — the SpMV with ``A`` and the FSAI application
 ``z = G^T (G r)`` — so those, plus the PCG vector updates, are the
 operations a backend must provide.  Serving many right-hand sides
-against one operator adds their blocked twins: the SpMM ``A @ X`` over
-an ``(n, k)`` block and the fused multi-vector FSAI application, which
-amortise one traversal of the sparse index stream across ``k`` vectors.
+against one operator adds their blocked twins: the SpMM over a
+``(k, n)`` block holding one vector per row, and the fused multi-vector
+FSAI application.  Their default is a row loop over the single-vector
+kernels (rows of a C-contiguous block are contiguous, so no copies),
+which makes every row byte-identical to the single-vector product of
+that row; a backend may batch rows only under that same contract.
 Everything else in the library stays backend-agnostic and calls these
 primitives through the registry (:func:`repro.kernels.get_backend`).
 
@@ -37,17 +40,16 @@ when they are omitted:
 ``out``
     Result buffer (``n_rows`` for :meth:`spmv`, ``n_cols`` for
     :meth:`spmv_t`, ``n`` for :meth:`fsai_apply`; the blocked variants
-    take the ``(·, k)`` analogues).  Always returned, so call sites read
+    take the ``(k, ·)`` analogues).  Always returned, so call sites read
     uniformly whether they preallocated or not.
 ``scratch``
-    ``nnz``-length float buffer (``(nnz, k)`` for the blocked kernels)
-    for the gather product ``data * x[...]``.  The NumPy backends leave
-    the (structure-ordered) products behind in it; other backends may
-    ignore it entirely — its contents are backend-specific, only its
-    role is contractual.  Backends that fall back to the column-loop
-    defaults for the blocked kernels ignore ``scratch`` there.
+    ``nnz``-length float buffer for the gather product ``data * x[...]``;
+    the blocked kernels reuse the same buffer for every row.  The NumPy
+    backends leave the (structure-ordered) products behind in it; other
+    backends may ignore it entirely — its contents are backend-specific,
+    only its role is contractual.
 ``tmp``
-    ``n``-length (``(n, k)`` for :meth:`fsai_apply_multi`) float buffer
+    ``n``-length (``(k, n)`` for :meth:`fsai_apply_multi`) float buffer
     holding the intermediate ``t = G r`` of the fused FSAI application.
 ``work``
     ``n``-length float buffer for :meth:`pcg_step`'s AXPY temporaries.
@@ -157,10 +159,10 @@ class KernelBackend(ABC):
     operands and allocate missing ``out`` buffers, then delegate to the
     ``_``-prefixed hooks backends actually implement.  The blocked
     kernels (:meth:`spmm`, :meth:`spmm_t`, :meth:`fsai_apply_multi`)
-    default to a column loop over the single-vector hooks, so a minimal
+    default to a row loop over the single-vector hooks, so a minimal
     backend — including the reference oracle — is automatically
-    multi-RHS-correct with the exact per-column summation order of its
-    single-vector kernels.
+    multi-RHS-correct, every row byte-identical to its single-vector
+    product.
     """
 
     #: Registry name; also stamped on trace spans (``backend=...``).
@@ -206,23 +208,22 @@ class KernelBackend(ABC):
         self, a: Any, x: np.ndarray, out: Optional[np.ndarray] = None,
         *, scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``out = A @ X`` over an ``(n_cols, k)`` block of vectors.
+        """``out[j] = A @ X[j]`` for every row of a ``(k, n_cols)`` block.
 
-        One traversal of ``A``'s index stream serves all ``k`` columns —
-        the multi-RHS amortisation the blocked PCG is built on.
-        ``scratch``, when a backend uses it, is ``(nnz, k)``.
+        ``scratch``, when a backend uses it, is the single-vector
+        ``(nnz,)`` workspace, reused for every row.
         """
         x = coerce_operand(x, name="X", ndim=2)
-        out = _prepare_out(out, (a.n_rows, x.shape[1]))
+        out = _prepare_out(out, (x.shape[0], a.n_rows))
         return self._spmm(a, x, out, scratch)
 
     def spmm_t(
         self, a: Any, x: np.ndarray, out: Optional[np.ndarray] = None,
         *, scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """``out = A.T @ X`` over an ``(n_rows, k)`` block."""
+        """``out[j] = A.T @ X[j]`` for every row of a ``(k, n_rows)`` block."""
         x = coerce_operand(x, name="X", ndim=2)
-        out = _prepare_out(out, (a.n_cols, x.shape[1]))
+        out = _prepare_out(out, (x.shape[0], a.n_cols))
         return self._spmm_t(a, x, out, scratch)
 
     def fsai_apply_multi(
@@ -230,13 +231,13 @@ class KernelBackend(ABC):
         *, tmp: Optional[np.ndarray] = None,
         scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Fused ``out = G^T (G R)`` over an ``(n, k)`` residual block.
+        """Fused ``out[j] = G^T (G R[j])`` over a ``(k, n)`` residual block.
 
         The blocked twin of :meth:`fsai_apply`; ``tmp`` holds the
-        ``(n, k)`` intermediate ``T = G R``.
+        ``(k, n)`` intermediate ``T[j] = G R[j]``.
         """
         r = coerce_operand(r, name="R", ndim=2)
-        out = _prepare_out(out, (g.n_rows, r.shape[1]))
+        out = _prepare_out(out, (r.shape[0], g.n_rows))
         return self._fsai_apply_multi(g, r, out, tmp, scratch)
 
     # ------------------------------------------------------------------
@@ -482,33 +483,26 @@ class KernelBackend(ABC):
     def _fsai_apply(self, g, r, out, tmp, scratch) -> np.ndarray: ...
 
     def _spmm(self, a, x, out, scratch) -> np.ndarray:
-        # Default: one contiguous column at a time through the
-        # single-vector kernel — per-column summation order is then
-        # *identical* to spmv, which is what makes this the oracle the
-        # vectorized backends are tested against.
-        xcol = np.empty(x.shape[0])
-        ycol = np.empty(out.shape[0])
-        for j in range(x.shape[1]):
-            np.copyto(xcol, x[:, j])
-            self._spmv(a, xcol, ycol, None)
-            out[:, j] = ycol
+        # Default: each (contiguous) row through the single-vector
+        # kernel, so every row is *identical* to spmv of that row — the
+        # oracle any batched override is held to.
+        for xj, yj in zip(x, out):
+            self._spmv(a, xj, yj, scratch)
         return out
 
     def _spmm_t(self, a, x, out, scratch) -> np.ndarray:
-        xcol = np.empty(x.shape[0])
-        ycol = np.empty(out.shape[0])
-        for j in range(x.shape[1]):
-            np.copyto(xcol, x[:, j])
-            self._spmv_t(a, xcol, ycol, None)
-            out[:, j] = ycol
+        for xj, yj in zip(x, out):
+            self._spmv_t(a, xj, yj, scratch)
         return out
 
     def _fsai_apply_multi(self, g, r, out, tmp, scratch) -> np.ndarray:
-        k = r.shape[1]
-        if tmp is None or tmp.shape != (g.n_rows, k):
-            tmp = np.empty((g.n_rows, k))
-        self._spmm(g, r, tmp, scratch)
-        return self._spmm_t(g, tmp, out, scratch)
+        # Default: the fused single-vector kernel on each row, so every
+        # row is fsai_apply of that row by construction.
+        if tmp is None or tmp.shape != r.shape:
+            tmp = np.empty(r.shape)
+        for rj, yj, tj in zip(r, out, tmp):
+            self._fsai_apply(g, rj, yj, tj, scratch)
+        return out
 
     # ------------------------------------------------------------------
     # Bound kernel handles (OSKI-style tuned operators)
@@ -543,8 +537,9 @@ class KernelBackend(ABC):
 
         The blocked twin of :meth:`spmv_op`: the multi-RHS PCG binds one
         handle per solve, so each iteration's SpMM is a single call with
-        the format dispatch already resolved.  ``scratch`` is the
-        ``(nnz, k)`` gather workspace for backends that use one.
+        the format dispatch already resolved.  The handle takes any block
+        width; ``scratch`` is the single-vector ``(nnz,)`` gather
+        workspace for backends that use one.
         """
         def op(x: np.ndarray, out: np.ndarray) -> np.ndarray:
             return self._spmm(a, x, out, scratch)
@@ -554,7 +549,8 @@ class KernelBackend(ABC):
                             scratch: Optional[np.ndarray] = None):
         """Return ``op(R, out) -> out`` for the blocked FSAI application.
 
-        ``tmp`` is the caller-owned ``(n, k)`` intermediate block.
+        ``tmp`` is the caller-owned ``(k, n)`` intermediate block, which
+        pins the block width; ``scratch`` is as for :meth:`spmm_op`.
         """
         def op(r: np.ndarray, out: np.ndarray) -> np.ndarray:
             return self._fsai_apply_multi(g, r, out, tmp, scratch)

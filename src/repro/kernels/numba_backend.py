@@ -10,11 +10,10 @@ CSR: the SpMV and the first half of the fused FSAI application distribute
 rows across threads (each row's dot product is independent); the
 transpose scatter stays sequential (scatter-add races under ``prange``),
 which matches the paper's observation that the ``G^T`` product is the
-bandwidth-bound half.  The blocked kernels keep the same decomposition
-with an inner loop over the ``k`` block columns, so each sparse entry is
-read once and applied to all right-hand sides while it sits in register.
-Functions compile lazily on first call; the first invocation therefore
-pays JIT cost, every later call runs native code.
+bandwidth-bound half.  The blocked kernels are the base class's row
+loop: each row of a ``(k, n)`` block runs through the single-vector
+kernels above.  Functions compile lazily on first call; the first
+invocation therefore pays JIT cost, every later call runs native code.
 
 The setup-side op (``fsai_setup``) distributes whole local systems across
 threads: a ``prange`` gather (per-system binary search into the sorted
@@ -84,49 +83,6 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled paths need numba
             ti = tmp[i]
             for k in range(indptr[i], indptr[i + 1]):
                 out[indices[k]] += data[k] * ti
-
-    @njit(parallel=True)
-    def _spmm_kernel(indptr, indices, data, x, out):
-        width = x.shape[1]
-        for i in prange(len(indptr) - 1):
-            for j in range(width):
-                out[i, j] = 0.0
-            for k in range(indptr[i], indptr[i + 1]):
-                v = data[k]
-                col = indices[k]
-                for j in range(width):
-                    out[i, j] += v * x[col, j]
-
-    @njit
-    def _spmm_t_kernel(indptr, indices, data, x, out):
-        width = x.shape[1]
-        out[:] = 0.0
-        for i in range(len(indptr) - 1):
-            for k in range(indptr[i], indptr[i + 1]):
-                v = data[k]
-                col = indices[k]
-                for j in range(width):
-                    out[col, j] += v * x[i, j]
-
-    @njit(parallel=True)
-    def _fsai_apply_multi_kernel(indptr, indices, data, r, out, tmp):
-        n = len(indptr) - 1
-        width = r.shape[1]
-        for i in prange(n):
-            for j in range(width):
-                tmp[i, j] = 0.0
-            for k in range(indptr[i], indptr[i + 1]):
-                v = data[k]
-                col = indices[k]
-                for j in range(width):
-                    tmp[i, j] += v * r[col, j]
-        out[:] = 0.0
-        for i in range(n):
-            for k in range(indptr[i], indptr[i + 1]):
-                v = data[k]
-                col = indices[k]
-                for j in range(width):
-                    out[col, j] += v * tmp[i, j]
 
     @njit(parallel=True)
     def _pcg_step_kernel(alpha, x, d, r, q):
@@ -394,27 +350,6 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled paths need numba
                 tmp = np.empty(g.n_rows)
             _fsai_apply_kernel(g.indptr, g.indices, g.data,
                                np.ascontiguousarray(r), out, tmp)
-            return out
-
-        def _spmm(self, a: Any, x: np.ndarray, out: np.ndarray,
-                  scratch: Optional[np.ndarray]) -> np.ndarray:
-            _spmm_kernel(a.indptr, a.indices, a.data,
-                         np.ascontiguousarray(x), out)
-            return out
-
-        def _spmm_t(self, a: Any, x: np.ndarray, out: np.ndarray,
-                    scratch: Optional[np.ndarray]) -> np.ndarray:
-            _spmm_t_kernel(a.indptr, a.indices, a.data,
-                           np.ascontiguousarray(x), out)
-            return out
-
-        def _fsai_apply_multi(self, g: Any, r: np.ndarray, out: np.ndarray,
-                              tmp: Optional[np.ndarray],
-                              scratch: Optional[np.ndarray]) -> np.ndarray:
-            if tmp is None or tmp.shape != (g.n_rows, r.shape[1]):
-                tmp = np.empty((g.n_rows, r.shape[1]))
-            _fsai_apply_multi_kernel(g.indptr, g.indices, g.data,
-                                     np.ascontiguousarray(r), out, tmp)
             return out
 
         def _spgemm_numeric(self, plan: Any, a_data: np.ndarray,

@@ -38,14 +38,13 @@ agree bit for bit there.  The ELL row-dot may reassociate long-row sums
 (pairwise partial sums), which is why backend agreement is asserted to
 1e-13 rather than bitwise on ELL/HYB-sized matrices.
 
-The blocked kernels (``_spmm``/``_spmm_t``/``_fsai_apply_multi``)
-generalize each strategy to an ``(n, k)`` operand block: the DIA window
-selection, the ELL gather, and the ``reduceat`` segment sum all move to
-``axis=0`` with the column axis riding along, so one traversal of the
-sparse structure serves all ``k`` right-hand sides.  Per column the
-summation order is unchanged from the single-vector kernels — the
-multi-RHS agreement tests hold every blocked path to the column-looped
-oracle at the same tolerances as above.
+The blocked kernels take a ``(k, n)`` block, one vector per row.  Only
+the DIA part of a DIA or HYB view has a batched form
+(:meth:`~repro.sparse.csr.DiaView.apply_multi`: one einsum per block of
+rows under a fixed byte budget); every other format, and every HYB
+remainder, runs the single-vector kernel on each row in turn.  Either
+way each row of a blocked product is byte-identical to the
+single-vector product of that row.
 
 Beyond the per-call kernels, the backend overrides the bound-handle
 constructors (:meth:`spmv_op` / :meth:`fsai_apply_op` and their blocked
@@ -65,23 +64,6 @@ from repro.kernels.base import KernelBackend
 from repro.kernels.reference import _gather_product
 
 __all__ = ["NumpyBackend"]
-
-
-def _gather_product_block(
-    data: np.ndarray, x: np.ndarray, gather_ids: np.ndarray,
-    scratch: Optional[np.ndarray],
-) -> np.ndarray:
-    """``data[:, None] * x[gather_ids]`` over an ``(n, k)`` block.
-
-    The blocked twin of :func:`repro.kernels.reference._gather_product`;
-    ``scratch`` is ``(nnz, k)`` and eliminates the per-call product
-    allocation when supplied.
-    """
-    if scratch is None or scratch.shape != (len(gather_ids), x.shape[1]):
-        return data[:, None] * x[gather_ids]
-    np.take(x, gather_ids, axis=0, out=scratch)
-    scratch *= data[:, None]
-    return scratch
 
 
 class NumpyBackend(KernelBackend):
@@ -133,49 +115,17 @@ class NumpyBackend(KernelBackend):
 
     def _spmm(self, a: Any, x: np.ndarray, out: np.ndarray,
               scratch: Optional[np.ndarray]) -> np.ndarray:
-        if len(a.data) == 0:
-            out[:] = 0.0
-            return out
         dia = a.dia_view()
-        if dia is not None:  # stencil: one windowed einsum for all k columns
+        if dia is not None:  # stencil: one windowed einsum per row block
             return dia.apply_multi(x, out)
-        ell = a.ell_view()
-        if ell is not None:  # (n, w, k) gather + one batched row-dot
-            _einsum(
-                "nw,nwk->nk", ell.data, x.take(ell.gather_ids, axis=0), out=out
-            )
-            return out
-        prod = _gather_product_block(a.data, x, a.indices, scratch)
-        starts, rows = a.row_segments()
-        if rows is None:
-            np.add.reduceat(prod, starts, axis=0, out=out)
-        else:
-            out[:] = 0.0
-            out[rows] = np.add.reduceat(prod, starts, axis=0)
-        return out
+        return super()._spmm(a, x, out, scratch)
 
     def _spmm_t(self, a: Any, x: np.ndarray, out: np.ndarray,
                 scratch: Optional[np.ndarray]) -> np.ndarray:
-        if len(a.data) == 0:
-            out[:] = 0.0
-            return out
         dia = a.dia_t_view()
         if dia is not None:
             return dia.apply_multi(x, out)
-        ell = a.ell_t_view()
-        if ell is not None:
-            _einsum(
-                "nw,nwk->nk", ell.data, x.take(ell.gather_ids, axis=0), out=out
-            )
-            return out
-        seg = a.col_segments()
-        prod = _gather_product_block(seg.data, x, seg.rows, scratch)
-        if seg.cols is None:
-            np.add.reduceat(prod, seg.starts, axis=0, out=out)
-        else:
-            out[:] = 0.0
-            out[seg.cols] = np.add.reduceat(prod, seg.starts, axis=0)
-        return out
+        return super()._spmm_t(a, x, out, scratch)
 
     def spmv_op(self, a: Any, scratch: Optional[np.ndarray] = None):
         # Resolve the format once: repeated products (the CG loop) then
@@ -221,14 +171,6 @@ class NumpyBackend(KernelBackend):
             tmp = np.empty(g.n_rows)
         self._spmv(g, r, tmp, scratch)
         return self._spmv_t(g, tmp, out, scratch)
-
-    def _fsai_apply_multi(self, g: Any, r: np.ndarray, out: np.ndarray,
-                          tmp: Optional[np.ndarray],
-                          scratch: Optional[np.ndarray]) -> np.ndarray:
-        if tmp is None or tmp.shape != (g.n_rows, r.shape[1]):
-            tmp = np.empty((g.n_rows, r.shape[1]))
-        self._spmm(g, r, tmp, scratch)
-        return self._spmm_t(g, tmp, out, scratch)
 
     def pcg_step(self, alpha: float, x: np.ndarray, d: np.ndarray,
                  r: np.ndarray, q: np.ndarray,

@@ -168,7 +168,7 @@ def _make_client(config: ServingBenchConfig, **overrides: Any) -> Any:
 def _build_workload(
     config: ServingBenchConfig,
 ) -> Tuple[List[CSRMatrix], List[np.ndarray]]:
-    """Operators + per-operator RHS blocks covering ``requests`` columns."""
+    """Operators + per-operator ``(k, n)`` RHS blocks covering ``requests``."""
     rng = np.random.default_rng(config.seed)
     matrices = [poisson2d(side) for side in config.grids]
     n_ops = len(matrices)
@@ -176,10 +176,7 @@ def _build_workload(
         config.requests // n_ops + (1 if i < config.requests % n_ops else 0)
         for i in range(n_ops)
     ]
-    blocks = [
-        np.ascontiguousarray(rng.standard_normal((a.n_rows, k)))
-        for a, k in zip(matrices, per_op)
-    ]
+    blocks = [rng.standard_normal((k, a.n_rows)) for a, k in zip(matrices, per_op)]
     return matrices, blocks
 
 

@@ -208,15 +208,15 @@ def _as_stream(
 ) -> List[Tuple[str, np.ndarray]]:
     """Interleave per-operator RHS blocks into one mixed request stream.
 
-    ``blocks[i]`` is an ``(n_i, k_i)`` column block for ``operators[i]``;
-    the stream round-robins operators column by column — the worst
-    honest arrival order for a per-operator batcher, since consecutive
-    requests (almost) never share an operator.
+    ``blocks[i]`` is a ``(k_i, n_i)`` block for ``operators[i]``, one
+    right-hand side per row; the stream round-robins operators row by
+    row — the worst honest arrival order for a per-operator batcher,
+    since consecutive requests (almost) never share an operator.
     """
     stream: List[Tuple[str, np.ndarray]] = []
-    widths = [block.shape[1] for block in blocks]
+    widths = [len(block) for block in blocks]
     for j in range(max(widths, default=0)):
         for fp, block, width in zip(operators, blocks, widths):
             if j < width:
-                stream.append((fp, np.ascontiguousarray(block[:, j])))
+                stream.append((fp, np.ascontiguousarray(block[j])))
     return stream

@@ -63,8 +63,8 @@ __all__ = ["SolverService", "BlockSolver"]
 _SENTINEL: Any = object()
 
 #: Signature a custom block solver must satisfy (tests inject slow ones
-#: to force backpressure deterministically): ``(matrix, rhs columns,
-#: application, rtol, atol, max_iterations) -> per-column results``.
+#: to force backpressure deterministically): ``(matrix, right-hand sides,
+#: application, rtol, atol, max_iterations) -> one result per side``.
 BlockSolver = Callable[
     [CSRMatrix, List[np.ndarray], Any, float, float, int],
     List[SolveResult],
@@ -98,10 +98,9 @@ def _default_solver(
                 record_history=False,
             )
         ]
-    block = np.ascontiguousarray(np.stack(columns, axis=1))
     multi = pcg_multi(
         matrix,
-        block,
+        np.stack(columns),
         preconditioner=application,
         rtol=rtol,
         atol=atol,

@@ -8,7 +8,7 @@ and the solver parameters default to the paper's §7.1 configuration.
 
 Batching key: requests are micro-batched into one ``pcg_multi`` block
 only when they share ``(operator, rtol, atol, max_iterations)`` — the
-blocked solver runs per-column convergence tests against *scalar*
+blocked solver runs per-row convergence tests against *scalar*
 tolerances, so mixing tolerances inside one block would change results.
 """
 
@@ -63,7 +63,7 @@ class PendingRequest:
 class ServeResult:
     """What a client gets back for one request.
 
-    Wraps the per-column :class:`~repro.solvers.convergence.SolveResult`
+    Wraps the request's own :class:`~repro.solvers.convergence.SolveResult`
     (non-convergence is data, not an error — matching the offline
     campaign's semantics) plus serving-side observability: which
     operator served it, how wide the executed block was, and the

@@ -27,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from repro import trace
-from repro._einsum import _einsum
 from repro._typing import FloatArray
 from repro.errors import ShapeError
 from repro.kernels import get_backend
@@ -240,25 +239,29 @@ def pcg_multi(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     record_history: bool = True,
 ) -> MultiSolveResult:
-    """Solve ``A X = B`` for an ``(n, k)`` block of right-hand sides.
+    """Solve ``A x_j = b_j`` for a ``(k, n)`` block, one right-hand side per row.
 
     Runs ``k`` mathematically independent PCG recurrences in lockstep
-    with **per-column** ``alpha``/``beta``/convergence tests, so each
-    column follows exactly the iteration :func:`pcg` would have taken —
-    but every iteration makes one blocked SpMM and one blocked
-    preconditioner application, traversing the sparse index streams of
-    ``A``, ``G`` and ``G^T`` once for all ``k`` vectors instead of once
-    per vector.  That amortisation is the entire speedup; converged (or
-    broken-down) columns are frozen by a mask and compacted out of the
-    active block once fewer than half remain, so stragglers don't drag
-    finished columns' bandwidth along.
+    with **per-row** ``alpha``/``beta``/convergence tests; every
+    iteration makes one blocked SpMM and one blocked preconditioner
+    application, so the per-call dispatch is paid once per iteration
+    instead of once per vector.  Each row of a blocked product is
+    byte-identical to the single-vector product of that row, and each
+    row's dots are the BLAS dot :func:`pcg` takes on that row alone.  A
+    row's iterate and iteration count therefore never depend on which
+    other rows share its block, and on the numpy and reference backends
+    they equal :func:`pcg`'s bit for bit (numba's fused ``pcg_step``
+    reduces ``r·r`` in its own order).  Converged (or broken-down) rows
+    are frozen by a mask and compacted out of the active block once
+    fewer than half remain, so stragglers don't drag finished rows'
+    bandwidth along.
 
     Parameters match :func:`pcg` with ``b`` (and optional ``x0``) shaped
-    ``(n, k)``; a 1-D ``b`` raises — use :func:`pcg` for a single vector.
+    ``(k, n)``; a 1-D ``b`` raises — use :func:`pcg` for a single vector.
     Returns a :class:`~repro.solvers.convergence.MultiSolveResult` whose
-    ``columns`` are per-column :class:`SolveResult` objects matching the
-    single-RHS path (iterate, iteration count, residuals, optional
-    history, flop estimate).
+    ``columns`` are per-right-hand-side :class:`SolveResult` objects
+    (iterate, iteration count, residuals, optional history, flop
+    estimate).
     """
     if not trace.enabled():
         return _pcg_multi(
@@ -270,7 +273,7 @@ def pcg_multi(
         "solvers.cg_multi",
         n=a.n_rows,
         nnz=a.nnz,
-        k=int(b_arr.shape[1]) if b_arr.ndim == 2 else -1,
+        k=int(b_arr.shape[0]) if b_arr.ndim == 2 else -1,
         preconditioned=preconditioner is not None,
         backend=get_backend().name,
     ):
@@ -282,6 +285,16 @@ def pcg_multi(
         trace.add_counter("cg.flops", result.flops)
         trace.set_attr("converged", result.converged)
     return result
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u[j] · v[j]`` for every row of two ``(k, n)`` blocks.
+
+    One stacked ``(1, n) @ (n, 1)`` matmul, which numpy evaluates as one
+    BLAS dot per row: the same reduction as :func:`numpy.dot` on that
+    row alone, whatever the block's width or the row's position in it.
+    """
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def _pcg_multi(
@@ -301,21 +314,21 @@ def _pcg_multi(
     b = np.ascontiguousarray(b, dtype=np.float64)
     if b.ndim == 1:
         raise ShapeError(
-            "pcg_multi takes an (n, k) block of right-hand sides; "
+            "pcg_multi takes a (k, n) block of right-hand sides; "
             "use pcg for a single vector"
         )
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ShapeError(f"B has shape {b.shape}, expected ({n}, k)")
-    k = b.shape[1]
+    if b.ndim != 2 or b.shape[1] != n:
+        raise ShapeError(f"B has shape {b.shape}, expected (k, {n})")
+    k = b.shape[0]
     if rtol < 0 or atol < 0:
         raise ValueError("tolerances must be non-negative")
     M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
     backend = get_backend()
 
     # Master solution block; x0 is copied (never aliased), matching pcg.
-    x_full = np.zeros((n, k)) if x0 is None else np.array(x0, dtype=np.float64)
-    if x_full.shape != (n, k):
-        raise ShapeError(f"x0 has shape {x_full.shape}, expected ({n}, {k})")
+    x_full = np.zeros((k, n)) if x0 is None else np.array(x0, dtype=np.float64)
+    if x_full.shape != (k, n):
+        raise ShapeError(f"x0 has shape {x_full.shape}, expected ({k}, {n})")
     if not x_full.flags.c_contiguous:
         x_full = np.ascontiguousarray(x_full)
 
@@ -323,45 +336,42 @@ def _pcg_multi(
     precond_flops = M.flops_per_application()
     flops = np.zeros(k, dtype=np.int64)
 
+    # Bound product handle for the whole solve: it takes any block width,
+    # and its gather scratch is the single-vector one, reused per row.
+    spmm_op = backend.spmm_op(a, np.empty(a.nnz))
+
     # R0 = B - A X0 (skip the SpMM when X0 = 0), one blocked product.
-    r_full = np.empty((n, k))
+    r_full = np.empty((k, n))
     if x0 is None or not np.any(x_full):
         np.copyto(r_full, b)
     else:
-        backend.spmm(a, x_full, r_full)
+        spmm_op(x_full, r_full)
         np.subtract(b, r_full, out=r_full)
         flops += spmv_flops + n
 
     histories = [
         ConvergenceHistory() if record_history else None for _ in range(k)
     ]
-    r_norm0 = np.sqrt(_einsum("ij,ij->j", r_full, r_full))
+    r_norm0 = np.sqrt(_row_dots(r_full, r_full))
     for j in range(k):
         if histories[j] is not None:
             histories[j].record(float(r_norm0[j]))
     thresholds = np.maximum(rtol * r_norm0, atol)
-    converged = r_norm0 <= thresholds  # columns done before iterating
+    converged = r_norm0 <= thresholds  # rows done before iterating
     iterations = np.zeros(k, dtype=np.int64)
     r_norm_final = r_norm0.copy()
 
     # Blocked preconditioner application: the shipped preconditioners all
-    # expose apply_multi_into; anything else falls back to a column loop
-    # through contiguous per-column buffers.
+    # expose apply_multi_into; apply-only ones (incomplete Cholesky) take
+    # one row at a time.
     apply_multi = getattr(M, "apply_multi_into", None)
-    apply_single = getattr(M, "apply_into", None)
     if apply_multi is None:
-        col_r = np.empty(n)
-
         def apply_multi(r_block: np.ndarray, z_block: np.ndarray) -> np.ndarray:
-            for j in range(r_block.shape[1]):
-                np.copyto(col_r, r_block[:, j])
-                if apply_single is not None:
-                    z_block[:, j] = apply_single(col_r, np.empty(n))
-                else:
-                    z_block[:, j] = M.apply(col_r)
+            for rj, zj in zip(r_block, z_block):
+                zj[:] = M.apply(rj)
             return z_block
 
-    cols = np.flatnonzero(~converged)  # original ids of the block's columns
+    cols = np.flatnonzero(~converged)  # original ids of the block's rows
     if k == 0 or len(cols) == 0:
         return _multi_result(
             x_full, converged, iterations, r_norm_final, r_norm0, histories,
@@ -369,31 +379,29 @@ def _pcg_multi(
         )
 
     # The active block's entire working set, reallocated only at the rare
-    # compaction points: five (n, kb) blocks plus the (nnz, kb) SpMM
-    # gather scratch.  Every per-iteration statement updates these in
-    # place; the only steady-state allocations are O(kb) coefficient
-    # vectors.
+    # compaction points: five (kb, n) blocks.  Every per-iteration
+    # statement updates these in place; the only steady-state
+    # allocations are O(kb) coefficient vectors.
     kb = len(cols)
-    x_b = np.ascontiguousarray(x_full[:, cols])
-    r_b = np.ascontiguousarray(r_full[:, cols])
-    z_b = np.empty((n, kb))
-    q_b = np.empty((n, kb))
-    work_b = np.empty((n, kb))
-    spmm_op = backend.spmm_op(a, np.empty((a.nnz, kb)))
+    x_b = x_full[cols]
+    r_b = r_full[cols]
+    z_b = np.empty((kb, n))
+    q_b = np.empty((kb, n))
+    work_b = np.empty((kb, n))
 
     apply_multi(r_b, z_b)
     flops[cols] += precond_flops
     d_b = z_b.copy()
-    rho = _einsum("ij,ij->j", r_b, z_b)
+    rho = _row_dots(r_b, z_b)
     flops[cols] += 2 * n
     active = np.ones(kb, dtype=bool)
 
     for it in range(1, max_iterations + 1):
         spmm_op(d_b, q_b)
-        dq = _einsum("ij,ij->j", d_b, q_b)
-        # Columns hitting breakdown (indefinite/numerically broken: d·q
+        dq = _row_dots(d_b, q_b)
+        # Rows hitting breakdown (indefinite/numerically broken: d·q
         # <= 0) freeze at the *previous* iterate without converging —
-        # exactly pcg's early break, per column.
+        # exactly pcg's early break, per row.
         stepping = active & (dq > 0.0)
         if trace.enabled():
             broken = int(np.count_nonzero(active & ~stepping))
@@ -405,13 +413,13 @@ def _pcg_multi(
         if not np.any(stepping):
             break
         alpha = np.where(stepping, rho / np.where(dq > 0.0, dq, 1.0), 0.0)
-        # Frozen columns ride along with alpha = 0: their x/r columns are
+        # Frozen rows ride along with alpha = 0: their x/r rows are
         # bit-unchanged, so freezing costs bandwidth but never accuracy.
-        np.multiply(d_b, alpha, out=work_b)
+        np.multiply(d_b, alpha[:, None], out=work_b)
         x_b += work_b
-        np.multiply(q_b, alpha, out=work_b)
+        np.multiply(q_b, alpha[:, None], out=work_b)
         r_b -= work_b
-        r_norm = np.sqrt(_einsum("ij,ij->j", r_b, r_b))
+        r_norm = np.sqrt(_row_dots(r_b, r_b))
         step_cols = cols[stepping]
         iterations[step_cols] = it
         flops[step_cols] += spmv_flops + 8 * n
@@ -426,33 +434,32 @@ def _pcg_multi(
         if not np.any(active):
             break
         apply_multi(r_b, z_b)
-        rho_new = _einsum("ij,ij->j", r_b, z_b)
+        rho_new = _row_dots(r_b, z_b)
         flops[cols[active]] += precond_flops + 4 * n
         beta = np.where(active, rho_new / np.where(rho != 0.0, rho, 1.0), 0.0)
-        np.multiply(d_b, beta, out=work_b)
+        np.multiply(d_b, beta[:, None], out=work_b)
         np.add(z_b, work_b, out=d_b)
         rho = rho_new
 
-        # Compaction: once fewer than half the block's columns are still
-        # active, shrink every workspace to the survivors and rebind the
-        # SpMM handle, so finished columns stop consuming bandwidth.
+        # Compaction: once fewer than half the block's rows are still
+        # active, shrink every workspace to the survivors, so finished
+        # rows stop consuming bandwidth.
         n_active = int(active.sum())
         if n_active and n_active < kb / 2:
-            x_full[:, cols] = x_b  # bank every column's current iterate
+            x_full[cols] = x_b  # bank every row's current iterate
             keep = np.flatnonzero(active)
             cols = cols[keep]
             kb = len(cols)
-            x_b = np.ascontiguousarray(x_b[:, keep])
-            r_b = np.ascontiguousarray(r_b[:, keep])
-            d_b = np.ascontiguousarray(d_b[:, keep])
+            x_b = x_b[keep]
+            r_b = r_b[keep]
+            d_b = d_b[keep]
             rho = rho[keep]
-            z_b = np.empty((n, kb))
-            q_b = np.empty((n, kb))
-            work_b = np.empty((n, kb))
-            spmm_op = backend.spmm_op(a, np.empty((a.nnz, kb)))
+            z_b = np.empty((kb, n))
+            q_b = np.empty((kb, n))
+            work_b = np.empty((kb, n))
             active = np.ones(kb, dtype=bool)
 
-    x_full[:, cols] = x_b
+    x_full[cols] = x_b
     return _multi_result(
         x_full, converged, iterations, r_norm_final, r_norm0, histories, flops,
     )
@@ -467,14 +474,14 @@ def _multi_result(
     histories,
     flops: np.ndarray,
 ) -> MultiSolveResult:
-    """Assemble per-column :class:`SolveResult` rows into the block result."""
+    """Assemble per-row :class:`SolveResult` entries into the block result."""
     columns = []
-    for j in range(x_full.shape[1]):
+    for j in range(x_full.shape[0]):
         rn0 = float(r_norm0[j])
         rn = float(r_norm_final[j])
         columns.append(
             SolveResult(
-                x=x_full[:, j].copy(),
+                x=x_full[j].copy(),
                 converged=bool(converged[j]),
                 iterations=int(iterations[j]),
                 residual_norm=rn,

@@ -97,18 +97,18 @@ class MultiSolveResult:
     """Outcome of a blocked multi-RHS PCG solve (:func:`repro.solvers.pcg_multi`).
 
     The block solver runs ``k`` mathematically independent PCG recurrences
-    in lockstep, so each column has its own full :class:`SolveResult` —
-    iterate, convergence flag, iteration count, residuals, optional
-    history, flop estimate — exactly as the single-RHS solver would have
-    produced.  ``x`` stacks the per-column iterates as the ``(n, k)``
-    solution block.
+    in lockstep, so each right-hand side has its own full
+    :class:`SolveResult` — iterate, convergence flag, iteration count,
+    residuals, optional history, flop estimate.  ``x`` stacks the
+    iterates as the ``(k, n)`` solution block, one row per right-hand
+    side.
 
     Attributes
     ----------
     x:
-        ``(n, k)`` solution block; ``x[:, j]`` solves against ``B[:, j]``.
+        ``(k, n)`` solution block; ``x[j]`` solves against ``B[j]``.
     columns:
-        Per-column :class:`SolveResult` in right-hand-side order.
+        Per-right-hand-side :class:`SolveResult` in block-row order.
     """
 
     x: FloatArray
@@ -116,17 +116,17 @@ class MultiSolveResult:
 
     @property
     def converged(self) -> bool:
-        """True iff every column converged within the budget."""
+        """True iff every right-hand side converged within the budget."""
         return all(c.converged for c in self.columns)
 
     @property
     def iterations(self) -> int:
-        """Largest per-column iteration count (the block's critical path)."""
+        """Largest per-row iteration count (the block's critical path)."""
         return max((c.iterations for c in self.columns), default=0)
 
     @property
     def flops(self) -> int:
-        """Total estimated flops across all columns."""
+        """Total estimated flops across all right-hand sides."""
         return sum(c.flops for c in self.columns)
 
     def __repr__(self) -> str:

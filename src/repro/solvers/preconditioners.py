@@ -56,9 +56,9 @@ class IdentityPreconditioner:
         return out
 
     def apply_multi_into(self, r: FloatArray, out: FloatArray) -> FloatArray:
-        """Blocked :meth:`apply_into` over an ``(n, k)`` residual block."""
-        if r.ndim != 2 or r.shape[0] != self.n:
-            raise ShapeError(f"expected (n, k) block with n={self.n}")
+        """Blocked :meth:`apply_into` over a ``(k, n)`` residual block."""
+        if r.ndim != 2 or r.shape[1] != self.n:
+            raise ShapeError(f"expected (k, n) block with n={self.n}")
         np.copyto(out, r)
         return out
 
@@ -98,10 +98,10 @@ class JacobiPreconditioner:
         return out
 
     def apply_multi_into(self, r: FloatArray, out: FloatArray) -> FloatArray:
-        """Blocked :meth:`apply_into`: every column scaled by ``D^{-1}``."""
-        if r.ndim != 2 or r.shape[0] != self.n:
-            raise ShapeError(f"expected (n, k) block with n={self.n}")
-        np.multiply(r, self._inv_diag[:, None], out=out)
+        """Blocked :meth:`apply_into`: ``D^{-1}`` times each row of a block."""
+        if r.ndim != 2 or r.shape[1] != self.n:
+            raise ShapeError(f"expected (k, n) block with n={self.n}")
+        np.multiply(r, self._inv_diag, out=out)
         return out
 
     def flops_per_application(self) -> int:

@@ -58,6 +58,18 @@ _HYB_MIN_COVERAGE = 0.5
 #: alternative here is the pricey scatter, not a tuned segment sum.
 _HYB_REM_MAX_PAD = 2.0
 
+#: Byte budget of the gathered window stack in one blocked DIA product
+#: (:meth:`DiaView.apply_multi`): ``rows * n_diagonals * n_out * 8`` stays
+#: under it, so the einsum's operand stays cache-resident.  A view whose
+#: single row already exceeds it (a 64k-row stencil) takes the row loop
+#: over :meth:`DiaView.apply` instead.  Measured on a 2-core Xeon: on the
+#: eight ``serve`` benchmark operators, budgets from 128 KiB to 1 MiB (and
+#: the plain row loop) ran at the same speed within noise; with no budget,
+#: the 64k-row ``heat2d`` FSAIE(full) factor ran 2.2-2.3x slower at
+#: k = 8 and 32.  The batching pays on small stencils: ``pcg_multi`` at
+#: k = 32 on n = 144/256 ran 4.6x the looped ``pcg``, 1.4x with rows alone.
+_DIA_BLOCK_BYTES = 256 * 1024
+
 #: Cache slot sentinel: "not computed yet" (``None`` means "ineligible").
 _UNSET = object()
 
@@ -105,15 +117,15 @@ class DiaView:
     accumulation (DIA terms first, scattered terms second), which is
     float-associativity-accurate rather than bitwise.
 
-    The padded buffer is per-matrix mutable scratch: products on the same
-    matrix are not re-entrant (single-threaded solver loops, the only
+    The padded buffers are per-matrix mutable scratch: products on the
+    same matrix are not re-entrant (single-threaded solver loops, the only
     consumer, never interleave them).
     """
 
     __slots__ = (
         "data", "sel", "xp", "windows", "lo", "n_in", "n_out",
         "rem_out", "rem_in", "rem_data", "rem_buf", "rem_ell",
-        "xpm", "windows_m",
+        "block_rows", "xpb", "windows_b",
     )
 
     def __init__(self, data: FloatArray, offsets: IndexArray,
@@ -136,13 +148,19 @@ class DiaView:
         self.rem_data = rem_data
         self.rem_buf = None if rem_data is None else np.empty(len(rem_data))
         self.rem_ell = rem_ell  # row-padded remainder (see _HYB_REM_MAX_PAD)
-        self.xpm = None  # (pad_len, k) twin of ``xp``, sized lazily per k
-        self.windows_m = None  # sliding windows over ``xpm``, rebuilt with it
+        # Vectors per blocked einsum (see _DIA_BLOCK_BYTES); 0 = row loop.
+        self.block_rows = _DIA_BLOCK_BYTES // (8 * data.shape[0] * n_out)
+        self.xpb = None  # (block_rows, pad) twin of ``xp``, built lazily
+        self.windows_b = None  # sliding windows over ``xpb``, built with it
 
     def apply(self, x: FloatArray, out: FloatArray) -> FloatArray:
         """``out[i] = sum_d data[d, i] * x[i + offset_d]`` (+ remainder)."""
         self.xp[self.lo:self.lo + self.n_in] = x
         _einsum("kn,kn->n", self.data, self.windows[self.sel], out=out)
+        self._add_remainder(x, out)
+        return out
+
+    def _add_remainder(self, x: FloatArray, out: FloatArray) -> None:
         if self.rem_ell is not None:
             out += _einsum(
                 "ij,ij->i", self.rem_ell.data, x.take(self.rem_ell.gather_ids)
@@ -152,42 +170,40 @@ class DiaView:
             out += np.bincount(
                 self.rem_out, weights=self.rem_buf, minlength=self.n_out,
             )
-        return out
 
     def apply_multi(self, x: FloatArray, out: FloatArray) -> FloatArray:
-        """Blocked :meth:`apply`: ``out[:, j] = A @ x[:, j]`` for every column.
+        """Blocked :meth:`apply` over a ``(k, n)`` block: ``out[j] = A @ x[j]``.
 
-        The zero-padded buffer grows a column axis (sized lazily to the
-        block width and kept until the width changes, so a solver's
-        repeated products reuse it).  The product itself is the blocked
-        twin of :meth:`apply`'s row-dot: select the same ``k`` window
-        slices of the padded block and contract the diagonal axis in one
-        einsum.  That contraction sums diagonals in the same ascending
-        order per output element as the single-vector kernel, so the
-        pure-stencil multi path stays bit-identical to ``k`` single
-        applies — and one call amortizes dispatch overhead across the
-        whole block, which is where the multi-RHS throughput win lives.
+        Up to ``block_rows`` vectors share one ``(rows, pad)`` padded
+        buffer and one ``einsum("dn,kdn->kn")``; the diagonal axis is
+        contracted in the same ascending order per output element as
+        :meth:`apply`, so every row is byte-identical to its
+        single-vector product.  Views too large for one row per block,
+        and every HYB remainder, take :meth:`apply`'s own kernels row by
+        row.
         """
-        k = x.shape[1]
-        if self.xpm is None or self.xpm.shape[1] != k:
-            self.xpm = np.zeros((len(self.xp), k))
-            self.windows_m = np.lib.stride_tricks.sliding_window_view(
-                self.xpm, self.n_out, axis=0
+        rows = self.block_rows
+        if rows == 0:
+            for xj, oj in zip(x, out):
+                self.apply(xj, oj)
+            return out
+        if self.xpb is None:
+            self.xpb = np.zeros((rows, len(self.xp)))
+            self.windows_b = np.lib.stride_tricks.sliding_window_view(
+                self.xpb, self.n_out, axis=1
             )
-        self.xpm[self.lo:self.lo + self.n_in] = x
-        _einsum("dn,dkn->nk", self.data, self.windows_m[self.sel], out=out)
-        if self.rem_ell is not None:
-            out += _einsum(
-                "nw,nwk->nk", self.rem_ell.data,
-                x.take(self.rem_ell.gather_ids, axis=0),
+        interior = slice(self.lo, self.lo + self.n_in)
+        for start in range(0, len(x), rows):
+            stop = min(start + rows, len(x))
+            m = stop - start
+            self.xpb[:m, interior] = x[start:stop]
+            _einsum(
+                "dn,kdn->kn", self.data, self.windows_b[:m, self.sel],
+                out=out[start:stop],
             )
-        elif self.rem_out is not None:
-            for j in range(k):  # bincount is 1-D; column loop keeps the
-                # scatter order identical to the single-vector remainder
-                np.multiply(self.rem_data, x[self.rem_in, j], out=self.rem_buf)
-                out[:, j] += np.bincount(
-                    self.rem_out, weights=self.rem_buf, minlength=self.n_out,
-                )
+        if self.rem_ell is not None or self.rem_out is not None:
+            for xj, oj in zip(x, out):
+                self._add_remainder(xj, oj)
         return out
 
 

@@ -196,10 +196,7 @@ class TestEvictionRaces:
         cache = PreconditionerCache(capacity=1)
         mats = [poisson2d(8), poisson2d(10)]
         rng = np.random.default_rng(7)
-        blocks = [
-            np.ascontiguousarray(rng.standard_normal((a.n_rows, 6)))
-            for a in mats
-        ]
+        blocks = [rng.standard_normal((6, a.n_rows)) for a in mats]
         # max_batch=2 splits the stream into many small alternating
         # batches instead of one window swallowing everything, so the
         # two operators keep evicting each other mid-flight.

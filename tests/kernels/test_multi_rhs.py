@@ -1,11 +1,15 @@
 """Blocked (multi-RHS) kernels agree with dense algebra on every backend.
 
-The SpMM / SpMM^T / fused multi-FSAI kernels reuse the matrix zoo from
-``test_backends`` so each vectorized path (exact DIA, HYB with COO or
-ELL remainder, row-padded ELL, reduceat fallback, and the adversarial
-small shapes) is driven through its blocked twin at several block
-widths, including ``k=1`` (degenerate block) and a width wide enough to
-matter for the serving workload (``k=32``).
+A block holds one vector per row: ``(k, n)``, C-contiguous.  The SpMM /
+SpMM^T / fused multi-FSAI kernels reuse the matrix zoo from
+``test_backends`` so each format (exact DIA, HYB with COO or ELL
+remainder, row-padded ELL, reduceat fallback, and the adversarial small
+shapes) is driven through its blocked twin at several block widths,
+including ``k=1`` (degenerate block) and a width wide enough to matter
+for the serving workload (``k=32``).  Beyond dense agreement, every row
+of a blocked product must be byte-identical to the single-vector product
+of that row — the contract that makes a served request's answer
+independent of its batch.
 
 The second half covers the operand-validation satellite: float32 and
 integer blocks upcast with :class:`KernelInputWarning`, Fortran-ordered
@@ -18,8 +22,10 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.collection.generators.fd import poisson2d
 from repro.kernels import KernelInputWarning, get_backend
 from repro.sparse.construct import csr_from_dense
+from repro.sparse.csr import _DIA_BLOCK_BYTES
 from tests.kernels.test_backends import (
     BACKENDS,
     TRI_ZOO,
@@ -31,7 +37,7 @@ WIDTHS = (1, 3, 32)
 
 
 def _block(rng, n, k):
-    return rng.standard_normal((n, k))
+    return rng.standard_normal((k, n))
 
 
 # ----------------------------------------------------------------------
@@ -46,7 +52,7 @@ def test_spmm_matches_dense(backend_name, case, k):
     _, a = case
     backend = get_backend(backend_name)
     x = _block(np.random.default_rng(15), a.n_cols, k)
-    _assert_close(backend.spmm(a, x), a.to_dense() @ x)
+    _assert_close(backend.spmm(a, x), x @ a.to_dense().T)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -56,7 +62,7 @@ def test_spmm_t_matches_dense(backend_name, case, k):
     _, a = case
     backend = get_backend(backend_name)
     x = _block(np.random.default_rng(16), a.n_rows, k)
-    _assert_close(backend.spmm_t(a, x), a.to_dense().T @ x)
+    _assert_close(backend.spmm_t(a, x), x @ a.to_dense())
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -68,8 +74,8 @@ def test_spmm_workspace_variant_is_identical(backend_name, case):
     k = 5
     x = _block(np.random.default_rng(17), a.n_cols, k)
     plain = backend.spmm(a, x)
-    out = np.full((a.n_rows, k), np.nan)
-    scratch = np.empty((a.nnz, k))
+    out = np.full((k, a.n_rows), np.nan)
+    scratch = np.empty(a.nnz)
     buffered = backend.spmm(a, x, out=out, scratch=scratch)
     assert buffered is out
     np.testing.assert_array_equal(buffered, plain)
@@ -81,10 +87,10 @@ def test_spmm_op_binds_the_same_kernel(backend_name):
     k = 4
     for _, a in ZOO:
         x = _block(np.random.default_rng(18), a.n_cols, k)
-        out = np.empty((a.n_rows, k))
-        op = backend.spmm_op(a, np.empty((a.nnz, k)))
+        out = np.empty((k, a.n_rows))
+        op = backend.spmm_op(a, np.empty(a.nnz))
         assert op(x, out) is out
-        _assert_close(out, a.to_dense() @ x)
+        _assert_close(out, x @ a.to_dense().T)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -95,30 +101,90 @@ def test_fsai_apply_multi_matches_dense(backend_name, case, k):
     backend = get_backend(backend_name)
     gd = g.to_dense()
     r = _block(np.random.default_rng(19), g.n_rows, k)
-    expected = gd.T @ (gd @ r)
+    expected = (r @ gd.T) @ gd
     _assert_close(backend.fsai_apply_multi(g, r), expected)
     # Fully-buffered variant and the bound handle the solver loop uses.
-    out = np.empty((g.n_rows, k))
-    tmp = np.empty((g.n_rows, k))
-    scratch = np.empty((g.nnz, k))
+    out = np.empty((k, g.n_rows))
+    tmp = np.empty((k, g.n_rows))
+    scratch = np.empty(g.nnz)
     got = backend.fsai_apply_multi(g, r, out=out, tmp=tmp, scratch=scratch)
     assert got is out
     _assert_close(got, expected)
     op = backend.fsai_apply_multi_op(g, tmp, scratch)
-    out2 = np.empty((g.n_rows, k))
+    out2 = np.empty((k, g.n_rows))
     assert op(r, out2) is out2
     _assert_close(out2, expected)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_spmm_column_agrees_with_spmv(backend_name):
-    """Per-column agreement with the single-vector kernel (<= 1e-13)."""
+def test_spmm_row_agrees_with_spmv(backend_name):
+    """Row ``j`` of a bound-handle product is ``spmv`` of row ``j``."""
     backend = get_backend(backend_name)
     for _, a in ZOO:
         x = _block(np.random.default_rng(20), a.n_cols, 7)
-        block = backend.spmm(a, x)
+        block = np.empty((7, a.n_rows))
+        backend.spmm_op(a, np.empty(a.nnz))(x, block)
         for j in range(7):
-            _assert_close(block[:, j], backend.spmv(a, x[:, j].copy()))
+            assert block[j].tobytes() == backend.spmv(a, x[j]).tobytes()
+
+
+# ----------------------------------------------------------------------
+# Per-row identity: each row of a blocked product, byte for byte
+# ----------------------------------------------------------------------
+
+
+def _assert_rows_identical(block, single, x):
+    for j in range(len(x)):
+        assert block[j].tobytes() == single(x[j].copy()).tobytes(), f"row {j}"
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("case", ZOO, ids=[name for name, _ in ZOO])
+@pytest.mark.parametrize("k", WIDTHS)
+def test_spmm_rows_are_spmv_bytes(backend_name, case, k):
+    _, a = case
+    backend = get_backend(backend_name)
+    rng = np.random.default_rng(21)
+    x = _block(rng, a.n_cols, k)
+    _assert_rows_identical(
+        backend.spmm(a, x), lambda v: backend.spmv(a, v), x
+    )
+    xt = _block(rng, a.n_rows, k)
+    _assert_rows_identical(
+        backend.spmm_t(a, xt), lambda v: backend.spmv_t(a, v), xt
+    )
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("case", TRI_ZOO, ids=[name for name, _ in TRI_ZOO])
+@pytest.mark.parametrize("k", WIDTHS)
+def test_fsai_apply_multi_rows_are_fsai_apply_bytes(backend_name, case, k):
+    _, g = case
+    backend = get_backend(backend_name)
+    r = _block(np.random.default_rng(22), g.n_rows, k)
+    tmp = np.empty((k, g.n_rows))
+    block = np.empty((k, g.n_rows))
+    backend.fsai_apply_multi_op(g, tmp, np.empty(g.nnz))(r, block)
+    _assert_rows_identical(block, lambda v: backend.fsai_apply(g, v), r)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_rows_past_the_dia_block_budget(backend_name):
+    """Stencils whose single row exceeds the einsum budget: row loop."""
+    a = poisson2d(120)  # n = 14400: 5 (A) and 3 (G) diagonals
+    g = a.tril()
+    for view in (a.dia_view(), g.dia_view(), g.dia_t_view()):
+        assert view.data.nbytes > _DIA_BLOCK_BYTES
+        assert view.block_rows == 0
+    backend = get_backend(backend_name)
+    rng = np.random.default_rng(23)
+    x = _block(rng, a.n_cols, 3)
+    _assert_rows_identical(
+        backend.spmm(a, x), lambda v: backend.spmv(a, v), x
+    )
+    _assert_rows_identical(
+        backend.fsai_apply_multi(g, x), lambda v: backend.fsai_apply(g, v), x
+    )
 
 
 # ----------------------------------------------------------------------
@@ -142,10 +208,10 @@ def test_float32_vector_upcast_with_warning(backend_name):
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_float32_block_upcast_with_warning(backend_name):
     backend = get_backend(backend_name)
-    x32 = np.random.default_rng(23).standard_normal((3, 4)).astype(np.float32)
+    x32 = np.random.default_rng(23).standard_normal((4, 3)).astype(np.float32)
     with pytest.warns(KernelInputWarning, match="float64"):
         got = backend.spmm(A_SMALL, x32)
-    _assert_close(got, A_SMALL.to_dense() @ x32.astype(np.float64))
+    _assert_close(got, x32.astype(np.float64) @ A_SMALL.to_dense().T)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -160,12 +226,12 @@ def test_integer_rhs_upcast_with_warning(backend_name):
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_fortran_ordered_block_accepted_silently(backend_name):
     backend = get_backend(backend_name)
-    x = np.asfortranarray(np.random.default_rng(24).standard_normal((3, 6)))
+    x = np.asfortranarray(np.random.default_rng(24).standard_normal((6, 3)))
     assert not x.flags.c_contiguous
     with warnings.catch_warnings():
         warnings.simplefilter("error", KernelInputWarning)
         got = backend.spmm(A_SMALL, x)
-    _assert_close(got, A_SMALL.to_dense() @ x)
+    _assert_close(got, x @ A_SMALL.to_dense().T)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -175,7 +241,7 @@ def test_wrong_dtype_out_raises(backend_name):
     with pytest.raises(TypeError, match="float64"):
         backend.spmv(A_SMALL, x, np.empty(3, dtype=np.float32))
     with pytest.raises(TypeError, match="float64"):
-        backend.spmm(A_SMALL, np.ones((3, 2)), np.empty((3, 2), dtype=np.float32))
+        backend.spmm(A_SMALL, np.ones((2, 3)), np.empty((2, 3), dtype=np.float32))
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -184,7 +250,7 @@ def test_wrong_shape_out_raises(backend_name):
     with pytest.raises(ValueError, match="shape"):
         backend.spmv(A_SMALL, np.ones(3), np.empty(4))
     with pytest.raises(ValueError, match="shape"):
-        backend.spmm(A_SMALL, np.ones((3, 2)), np.empty((3, 3)))
+        backend.spmm(A_SMALL, np.ones((2, 3)), np.empty((3, 3)))
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

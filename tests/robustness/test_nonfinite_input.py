@@ -19,6 +19,7 @@ from repro.errors import MatrixFormatError
 from repro.fsai.adaptive import setup_fspai
 from repro.fsai.extended import setup_fsai, setup_fsaie_full, setup_fsaie_sp
 from repro.fsai.global_iter import setup_gsai_st
+from repro.fsai.patterns import fsai_initial_pattern
 from repro.serve.client import InProcessClient
 from repro.sparse.csr import CSRMatrix
 
@@ -57,3 +58,22 @@ def test_non_finite_entry_raises_matrix_format_error(entry, diagonal, value):
         warnings.simplefilter("error")
         with pytest.raises(MatrixFormatError, match=re.escape(f"at {where}")):
             ENTRY_POINTS[entry](a)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda a: fsai_initial_pattern(a, threshold=0.01),
+        lambda a: setup_fsai(a, threshold=0.01),
+    ],
+    ids=["fsai_initial_pattern", "setup_fsai"],
+)
+def test_thresholded_pattern_checks_values_first(entry):
+    """``threshold > 0`` scales by ``sqrt(a_ii a_jj)``: Inf next to a zero
+    diagonal would warn there before any typed error."""
+    a = poisoned(np.inf, diagonal=True)
+    a.data[(a.row_ids() == 2) & (a.indices == 2)] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixFormatError, match=re.escape("at (3, 3)")):
+            entry(a)

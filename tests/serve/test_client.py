@@ -75,11 +75,7 @@ class TestRequests:
         with InProcessClient(window_seconds=0.005, max_batch=8) as client:
             fps = [client.register(a) for a in mats]
             blocks = [
-                np.ascontiguousarray(
-                    np.random.default_rng(3 + i).standard_normal(
-                        (a.n_rows, 3)
-                    )
-                )
+                np.random.default_rng(3 + i).standard_normal((3, a.n_rows))
                 for i, a in enumerate(mats)
             ]
             stream = _as_stream(fps, blocks)
@@ -171,16 +167,16 @@ class TestStreamHelper:
     def test_round_robin_interleaving(self):
         fps = ["op-a", "op-b"]
         blocks = [
-            np.arange(6, dtype=np.float64).reshape(2, 3),
+            np.arange(6, dtype=np.float64).reshape(3, 2),
             np.arange(4, dtype=np.float64).reshape(2, 2),
         ]
         stream = _as_stream(fps, blocks)
         assert [fp for fp, _ in stream] == [
             "op-a", "op-b", "op-a", "op-b", "op-a",
         ]
-        np.testing.assert_array_equal(stream[0][1], blocks[0][:, 0])
-        np.testing.assert_array_equal(stream[1][1], blocks[1][:, 0])
-        np.testing.assert_array_equal(stream[4][1], blocks[0][:, 2])
+        np.testing.assert_array_equal(stream[0][1], blocks[0][0])
+        np.testing.assert_array_equal(stream[1][1], blocks[1][0])
+        np.testing.assert_array_equal(stream[4][1], blocks[0][2])
 
     def test_empty_stream(self):
         assert _as_stream([], []) == []

@@ -108,10 +108,10 @@ class TestBreakdownCounter:
         assert collector.total_counters()["cg.breakdowns"] == 1
 
     def test_pcg_multi_counts_each_frozen_column(self):
-        # Column 0 converges in one step; columns 1 (d·q < 0) and 2
-        # (d·q = 0) freeze on breakdown in the first iteration.
+        # Row 0 converges in one step; rows 1 (d·q < 0) and 2 (d·q = 0)
+        # freeze on breakdown in the first iteration.
         a = csr_from_dense(self.INDEFINITE)
-        b = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        b = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with trace.collecting() as collector:
             res = pcg_multi(a, b, max_iterations=10)
         assert [c.converged for c in res.columns] == [True, False, False]
@@ -121,7 +121,7 @@ class TestBreakdownCounter:
         b = np.ones(poisson16.n_rows)
         with trace.collecting() as collector:
             assert cg(poisson16, b).converged
-            assert pcg_multi(poisson16, np.column_stack([b, -b])).converged
+            assert pcg_multi(poisson16, np.stack([b, -b])).converged
         assert "cg.breakdowns" not in collector.total_counters()
 
 
