@@ -49,6 +49,7 @@ from repro.collection.suite import MatrixCase, get_case, suite72
 from repro.errors import CampaignIncompleteError, ConfigurationError
 from repro.experiments.campaign import CampaignResult
 from repro.experiments.runner import CaseResult, ExperimentConfig, run_case
+from repro.fsai.extended import sweep_passes
 from repro.fsai.registry import get_method
 from repro.kernels import ENV_VAR as KERNEL_BACKEND_ENV_VAR
 from repro.kernels import get_backend
@@ -491,14 +492,15 @@ def run_campaign_parallel(
         skipped = len(completed)
         reporter.skipped(skipped)
 
-    # Filter-sweeping methods run once per filter; global/baseline methods
-    # once per case; plus the FSAI baseline itself.
-    n_setups = 1 + sum(
-        len(config.filters) if get_method(m).uses_filter else 1
-        for m in config.methods
+    # LPT weight in setup passes: the FSAI baseline, one per filter-free
+    # method, and the Algorithm 4 sweep's distinct precalcs plus one exact
+    # solve per (method, filter) -- the shared prefix counted once.
+    swept = [m for m in config.methods if get_method(m).uses_filter]
+    n_passes = (
+        1 + len(config.methods) - len(swept) + sweep_passes(swept, config.filters)
     )
     todo = [
-        c for c in order_cases_by_cost(cases, n_setups=n_setups)
+        c for c in order_cases_by_cost(cases, n_passes=n_passes)
         if c.case_id not in completed
     ]
     reporter.set_workload(todo)

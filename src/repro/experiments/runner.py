@@ -24,8 +24,8 @@ from repro.fsai.frobenius import resolve_setup_backend
 from repro.fsai.extended import (
     FSAISetup,
     setup_fsai,
-    setup_fsaie_full,
     setup_fsaie_random,
+    setup_fsaie_sweep,
 )
 from repro.fsai.registry import get_method
 from repro.kernels import get_backend
@@ -354,7 +354,18 @@ def _run_case(
         baseline=baseline, kernel_backend=get_backend().name,
         setup_backend=resolve_setup_backend(config.setup_backend),
     )
-    reference_full: Optional[FSAISetup] = None
+    # Every Algorithm 4 setup of the case, the random baseline's reference
+    # included, comes from one sweep that shares its common prefixes.
+    reference = ("fsaie_full", 0.01)
+    swept = setup_fsaie_sweep(
+        a, placement,
+        [m for m in config.methods if get_method(m).uses_filter],
+        config.filters,
+        extra=[reference] if config.include_random_baseline else [],
+        precalc_rtol=config.precalc_rtol,
+        precalc_iterations=config.precalc_iterations,
+        setup_backend=config.setup_backend,
+    )
     for method in config.methods:
         spec = get_method(method)
         if not spec.selectable:
@@ -363,40 +374,22 @@ def _run_case(
                 f"use the dedicated config switch for it"
             )
         if spec.uses_filter:
-            for filter_value in config.filters:
-                setup = spec.builder(
-                    a, placement,
-                    filter_value=filter_value,
-                    precalc_rtol=config.precalc_rtol,
-                    precalc_iterations=config.precalc_iterations,
-                    setup_backend=config.setup_backend,
-                )
-                if method == "fsaie_full" and filter_value == 0.01:
-                    reference_full = setup
-                result.runs[(method, filter_value)] = _evaluate(
-                    a, b, setup, model, spmv_a_cost, config
-                )
+            setups = [swept[method, f] for f in config.filters]
         else:
             # Filter-free methods (baseline re-runs, global iterations)
             # execute once per case under the key ``(method, None)``.
             kwargs: Dict[str, object] = {"setup_backend": config.setup_backend}
             if spec.uses_sweeps:
                 kwargs["sweeps"] = config.global_sweeps
-            setup = spec.builder(a, **kwargs)
-            result.runs[(method, None)] = _evaluate(
+            setups = [spec.builder(a, **kwargs)]
+        for setup in setups:
+            result.runs[(method, setup.filter_value)] = _evaluate(
                 a, b, setup, model, spmv_a_cost, config
             )
 
     if config.include_random_baseline:
-        if reference_full is None:
-            reference_full = setup_fsaie_full(
-                a, placement, filter_value=0.01,
-                precalc_rtol=config.precalc_rtol,
-                precalc_iterations=config.precalc_iterations,
-                setup_backend=config.setup_backend,
-            )
         random_setup = setup_fsaie_random(
-            a, reference_full, seed=case.case_id,
+            a, swept[reference], seed=case.case_id,
             setup_backend=config.setup_backend,
         )
         result.runs[("fsaie_random", 0.01)] = _evaluate(

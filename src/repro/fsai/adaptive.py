@@ -44,7 +44,7 @@ import numpy as np
 
 from repro import trace
 from repro.arch.address import ArrayPlacement
-from repro.fsai.extended import FSAISetup, _extend_filter_exact
+from repro.fsai.extended import FSAISetup, setup_fsaie_sweep
 from repro.fsai.frobenius import (
     _resolve_setup_backend,
     compute_g,
@@ -53,7 +53,7 @@ from repro.fsai.frobenius import (
 from repro.fsai.precond import FSAIApplication
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
-from repro.sparse.validate import require_finite, require_positive_diagonal
+from repro.sparse.validate import require_spd_screen
 
 __all__ = ["adaptive_pattern", "setup_fspai", "setup_fspai_cache_extended"]
 
@@ -77,8 +77,7 @@ def adaptive_pattern(
         Stop growing a row when its best candidate's normalised residual
         is at most this value.
     """
-    require_finite(a)
-    require_positive_diagonal(a)
+    require_spd_screen(a)
     if max_new_per_row < 0:
         raise ValueError("invalid growth budget")
     n = a.n_rows
@@ -149,15 +148,14 @@ def setup_fspai_cache_extended(
 
     Pipeline: adaptive pattern → Algorithm 3 extension → §5 precalculation
     filtering → exact ``G`` — i.e. the FSAIE(sp) flow with the dynamic
-    pattern replacing ``tril(A)``.
+    pattern replacing ``tril(A)``, grown inside the setup's span.
     """
-    with trace.span(
-        "fsai.setup", method="fspai_ext", n=a.n_rows, filter_value=filter_value
-    ):
+    def adaptive_base():
         base = adaptive_pattern(
             a, max_new_per_row=max_new_per_row, tolerance=tolerance
         )
-        return _extend_filter_exact(
-            a, base, placement, method="fspai_ext", filter_value=filter_value,
-            flops={"adaptive": (max_new_per_row + 1) * setup_flops_direct(base)},
-        )
+        return base, {"adaptive": (max_new_per_row + 1) * setup_flops_direct(base)}
+
+    return setup_fsaie_sweep(
+        a, placement, ("fspai_ext",), (filter_value,), base=adaptive_base
+    )["fspai_ext", filter_value]

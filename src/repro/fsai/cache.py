@@ -68,8 +68,6 @@ def config_key(config: Optional[Dict[str, Any]]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-_config_key = config_key  # backwards-compatible private alias
-
 
 class PreconditionerCache:
     """Bounded LRU of built FSAI setups, keyed on matrix content.

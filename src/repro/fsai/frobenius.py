@@ -41,7 +41,7 @@ from repro.kernels import get_backend
 from repro.kernels.base import KernelBackend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
-from repro.sparse.validate import require_finite
+from repro.sparse.validate import require_finite, require_square
 
 __all__ = [
     "DEFAULT_PRECALC_RTOL",
@@ -85,8 +85,7 @@ def resolve_setup_backend(backend: Optional[str] = None) -> str:
 
 def _check_pattern(a: CSRMatrix, pattern: Pattern) -> None:
     require_finite(a)
-    if a.n_rows != a.n_cols:
-        raise ShapeError("FSAI requires a square matrix")
+    require_square(a)
     if pattern.shape != a.shape:
         raise ShapeError(
             f"pattern shape {pattern.shape} does not match matrix {a.shape}"

@@ -59,7 +59,7 @@ route under the paper's cache model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +75,7 @@ from repro.fsai.extended import FSAISetup
 from repro.kernels.spgemm import plan_spgemm
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
+from repro.sparse.validate import require_spd_screen
 
 __all__ = [
     "DEFAULT_SWEEPS",
@@ -144,20 +145,6 @@ def _validate(a: CSRMatrix, pattern: Pattern, sweeps: int, rtol: float):
     if rtol < 0:
         raise ValueError(f"rtol must be non-negative, got {rtol}")
     return lengths
-
-
-def _gershgorin_upper(a: CSRMatrix) -> float:
-    """Gershgorin bound ``max_i Σ_j |a_ij| ≥ λ_max(A)``.
-
-    By eigenvalue interlacing it also dominates ``λ_max`` of every
-    principal submatrix ``A[S_i, S_i]``, i.e. of the whole spectrum of
-    the factor-equation operator ``T``.
-    """
-    row_ids = np.repeat(
-        np.arange(a.n_rows, dtype=np.int64), np.diff(a.indptr)
-    )
-    sums = np.bincount(row_ids, weights=np.abs(a.data), minlength=a.n_rows)
-    return float(sums.max()) if a.n_rows else 1.0
 
 
 def global_g_minres(
@@ -242,7 +229,9 @@ def global_g_chebyshev(
     """
     _validate(a, pattern, sweeps, rtol)
     kb = _resolve_setup_backend(backend)
-    hi = float(lambda_hi) if lambda_hi is not None else _gershgorin_upper(a)
+    if lambda_hi is None:  # Gershgorin: max_i Σ_j |a_ij| ≥ λ_max(A)
+        lambda_hi = _row_abs_sums(a).max() if a.n_rows else 1.0
+    hi = float(lambda_hi)
     lo = float(lambda_lo) if lambda_lo is not None else hi / 25.0
     if not 0.0 < lo < hi:
         raise ValueError(
@@ -421,6 +410,7 @@ def _setup_global(
     flop_key: str = "global",
     **iter_kwargs,
 ) -> FSAISetup:
+    require_spd_screen(a)
     with trace.span("fsai.setup", method=method, n=a.n_rows):
         base = fsai_initial_pattern(a, level=level, threshold=threshold)
         data, info = _ITERATIONS[method](

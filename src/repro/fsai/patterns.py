@@ -10,11 +10,10 @@ exercises.
 
 from __future__ import annotations
 
-from repro.errors import ShapeError
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
 from repro.sparse.symbolic import pattern_power, threshold_matrix
-from repro.sparse.validate import require_finite
+from repro.sparse.validate import require_finite, require_square
 
 __all__ = ["fsai_initial_pattern"]
 
@@ -45,8 +44,7 @@ def fsai_initial_pattern(
         Lower-triangular pattern including the full diagonal (required for
         the local systems to be non-singular).
     """
-    if a.n_rows != a.n_cols:
-        raise ShapeError(f"FSAI needs a square matrix, got {a.shape}")
+    require_square(a)
     if threshold > 0:
         # Thresholding is the one pattern step that reads the values.
         require_finite(a)

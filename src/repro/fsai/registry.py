@@ -8,12 +8,11 @@ meant a fourth copy, so the registry centralises the mapping from method
 name to builder plus the *capability flags* the orchestration layers
 need to drive a method correctly:
 
-``uses_placement``
-    The builder takes an :class:`~repro.arch.address.ArrayPlacement`
-    positional (the FSAIE cache-aware extensions).
 ``uses_filter``
-    The builder takes ``filter_value`` and the campaign should sweep it
-    over ``config.filters``; methods without it run once per case.
+    An Algorithm 4 method (:data:`repro.fsai.extended.METHOD_STEPS`): the
+    campaign builds its ``config.filters`` sweep with one
+    :func:`~repro.fsai.extended.setup_fsaie_sweep` call; methods without
+    it run once per case.
 ``uses_sweeps``
     The builder takes a ``sweeps`` budget (the global iterations); the
     campaign threads ``config.global_sweeps`` through and records the
@@ -52,10 +51,6 @@ class MethodSpec:
 
     name: str
     builder: Callable[..., Any]
-    #: ``"local"`` (per-row Frobenius solves), ``"global"`` (whole-matrix
-    #: iterations) or ``"baseline"`` (fsai / the random control).
-    kind: str
-    uses_placement: bool = False
     uses_filter: bool = False
     uses_sweeps: bool = False
     selectable: bool = True
@@ -97,44 +92,25 @@ def selectable_methods() -> Tuple[str, ...]:
     )
 
 
-register_method(MethodSpec("fsai", extended.setup_fsai, kind="baseline"))
+register_method(MethodSpec("fsai", extended.setup_fsai))
 register_method(
-    MethodSpec(
-        "fsaie_sp", extended.setup_fsaie_sp, kind="local",
-        uses_placement=True, uses_filter=True,
-    )
+    MethodSpec("fsaie_sp", extended.setup_fsaie_sp, uses_filter=True)
 )
 register_method(
-    MethodSpec(
-        "fsaie_full", extended.setup_fsaie_full, kind="local",
-        uses_placement=True, uses_filter=True,
-    )
+    MethodSpec("fsaie_full", extended.setup_fsaie_full, uses_filter=True)
 )
 register_method(
-    MethodSpec(
-        "fsaie_joint", extended.setup_fsaie_joint, kind="local",
-        uses_placement=True, uses_filter=True,
-    )
+    MethodSpec("fsaie_joint", extended.setup_fsaie_joint, uses_filter=True)
 )
 register_method(
-    MethodSpec(
-        "fsaie_random", extended.setup_fsaie_random, kind="baseline",
-        selectable=False,
-    )
+    MethodSpec("fsaie_random", extended.setup_fsaie_random, selectable=False)
 )
 register_method(
-    MethodSpec(
-        "gsai_st", global_iter.setup_gsai_st, kind="global", uses_sweeps=True
-    )
+    MethodSpec("gsai_st", global_iter.setup_gsai_st, uses_sweeps=True)
 )
 register_method(
-    MethodSpec(
-        "gsai_cheb", global_iter.setup_gsai_cheb, kind="global",
-        uses_sweeps=True,
-    )
+    MethodSpec("gsai_cheb", global_iter.setup_gsai_cheb, uses_sweeps=True)
 )
 register_method(
-    MethodSpec(
-        "gsai_ns", global_iter.setup_gsai_ns, kind="global", uses_sweeps=True
-    )
+    MethodSpec("gsai_ns", global_iter.setup_gsai_ns, uses_sweeps=True)
 )

@@ -154,13 +154,14 @@ def parallel_spmv_cost(
 # *static* per-case cost estimate available without building the matrix.
 # ----------------------------------------------------------------------
 
-#: Equivalent-iterations weight of one preconditioner setup (the k^3 local
-#: solves + simulated application cost dominate cheap, fast-converging
-#: cases; calibrated on the quick cross-section).
-SETUP_EQUIVALENT_ITERATIONS = 60.0
+#: Equivalent-iterations weight of one setup pass: one batched solve of a
+#: case's local systems, exact (``G``) or truncated (§5 precalc).  The
+#: earlier weight of 60 per whole setup, calibrated on the quick
+#: cross-section, covered 9 setups = 21 passes per case; 60 · 9 / 21 ≈ 26.
+PASS_EQUIVALENT_ITERATIONS = 26.0
 
 
-def estimate_case_seconds(case, *, n_setups: int = 9) -> float:
+def estimate_case_seconds(case, *, n_passes: int = 14) -> float:
     """Static cost estimate of one campaign case, in arbitrary seconds.
 
     Uses only the suite registry's paper metadata — the synthetic suite is
@@ -174,17 +175,18 @@ def estimate_case_seconds(case, *, n_setups: int = 9) -> float:
     ----------
     case:
         A :class:`repro.collection.suite.MatrixCase`.
-    n_setups:
-        Number of preconditioner setups the experiment grid performs per
-        case (methods x filters + baseline); default matches
-        :class:`~repro.experiments.runner.ExperimentConfig` defaults.
+    n_passes:
+        Setup passes the experiment grid runs per case (see
+        :func:`repro.fsai.extended.sweep_passes`); the default is
+        :class:`~repro.experiments.runner.ExperimentConfig`'s grid: FSAI,
+        5 distinct precalcs and 8 exact FSAIE solves.
     """
     iters = float(case.paper.fsai_iters)
     size = float(np.sqrt(case.paper.nnz))
-    return 1e-6 * size * (iters + n_setups * SETUP_EQUIVALENT_ITERATIONS)
+    return 1e-6 * size * (iters + n_passes * PASS_EQUIVALENT_ITERATIONS)
 
 
-def order_cases_by_cost(cases, *, n_setups: int = 9):
+def order_cases_by_cost(cases, *, n_passes: int = 14):
     """Cases sorted most-expensive-first (LPT order), ties by case id.
 
     Deterministic: equal estimates fall back to ascending case id, so the
@@ -192,7 +194,7 @@ def order_cases_by_cost(cases, *, n_setups: int = 9):
     """
     return sorted(
         cases,
-        key=lambda c: (-estimate_case_seconds(c, n_setups=n_setups), c.case_id),
+        key=lambda c: (-estimate_case_seconds(c, n_passes=n_passes), c.case_id),
     )
 
 

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.perf.metrics import OrchestrationMetrics
 from repro.trace import TraceSummary
 
 __all__ = ["RegressionComponent", "RegressionRecord"]
@@ -81,8 +80,6 @@ class RegressionRecord:
     label: str
     scope: str
     components: List[RegressionComponent] = field(default_factory=list)
-    #: Optional campaign-throughput block (set by orchestrated runs).
-    orchestration: Optional[OrchestrationMetrics] = None
     #: Optional phase breakdown of the benched workload (``repro.trace``).
     trace_summary: Optional[TraceSummary] = None
     #: Component name → reason, for components the bench no longer times
@@ -127,8 +124,6 @@ class RegressionRecord:
             "optimized_total_seconds": self.optimized_total,
             "speedup": self.speedup,
         }
-        if self.orchestration is not None:
-            payload["orchestration"] = self.orchestration.to_dict()
         if self.trace_summary is not None:
             payload["trace_summary"] = self.trace_summary.to_dict()
         if self.retired:
@@ -156,11 +151,6 @@ class RegressionRecord:
                 )
                 for c in payload["components"]
             ],
-            orchestration=(
-                OrchestrationMetrics.from_dict(payload["orchestration"])
-                if "orchestration" in payload
-                else None
-            ),
             trace_summary=(
                 TraceSummary.from_dict(payload["trace_summary"])
                 if "trace_summary" in payload

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import UnknownOperatorError
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.validate import require_finite
+from repro.sparse.validate import require_spd_screen
 
 __all__ = ["OperatorEntry", "OperatorRegistry"]
 
@@ -61,10 +61,12 @@ class OperatorRegistry:
         fingerprint; re-registering with a *different* recipe replaces
         the recipe (the preconditioner cache keys on method/config too,
         so previously built setups stay valid for their own keys).
-        A NaN or infinite entry raises
-        :class:`~repro.errors.MatrixFormatError` before anything is stored.
+        The setups' entry check runs first: a NaN or infinite entry
+        raises :class:`~repro.errors.MatrixFormatError`, a non-positive
+        diagonal :class:`~repro.errors.NotSPDError`, before anything is
+        stored.
         """
-        require_finite(matrix)
+        require_spd_screen(matrix)
         fingerprint = matrix.fingerprint()
         entry = OperatorEntry(matrix=matrix, method=method, config=dict(config))
         with self._lock:

@@ -38,7 +38,7 @@ import pickle
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import Empty
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -63,7 +63,7 @@ from repro.serve.shm import (
 )
 from repro.solvers.cg import DEFAULT_MAX_ITERATIONS, DEFAULT_RTOL
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.validate import require_finite
+from repro.sparse.validate import require_spd_screen
 
 __all__ = ["MultiProcessClient", "shard_for"]
 
@@ -523,7 +523,8 @@ class MultiProcessClient:
 
         Raises :class:`~repro.errors.ServiceClosedError` when the pool is
         closing, :class:`~repro.errors.MatrixFormatError` for a NaN or
-        infinite entry (before anything is published), and
+        infinite entry and :class:`~repro.errors.NotSPDError` for a
+        non-positive diagonal (before anything is published), and
         :class:`~repro.errors.WorkerCrashedError` when the shard's command
         queue refuses the attach on every retry.  A spec whose attach failed
         stays registered, so a respawn's replay still attaches it and a
@@ -531,7 +532,7 @@ class MultiProcessClient:
         """
         if self._closing:
             raise ServiceClosedError("pool is not accepting requests")
-        require_finite(matrix)
+        require_spd_screen(matrix)
         spec = self.store.publish(matrix, method=method, config=config)
         shard = shard_for(spec.fingerprint, self.n_workers)
         with self._lock:

@@ -17,6 +17,7 @@ __all__ = [
     "require_square",
     "require_symmetric",
     "require_positive_diagonal",
+    "require_spd_screen",
     "check_spd_sample",
     "gershgorin_bounds",
 ]
@@ -67,6 +68,15 @@ def require_positive_diagonal(a: CSRMatrix) -> None:
             f"non-positive diagonal at rows {bad[:5].tolist()}"
             + ("..." if len(bad) > 5 else "")
         )
+
+
+def require_spd_screen(a: CSRMatrix) -> None:
+    """Entry check of every FSAI setup and of serving's ``register``:
+    finite (:class:`MatrixFormatError`), square (:class:`ShapeError`) and
+    a positive diagonal (:class:`NotSPDError`), in that order, at O(nnz).
+    """
+    require_finite(a)
+    require_positive_diagonal(a)
 
 
 def check_spd_sample(a: CSRMatrix, n_probes: int = 8, seed: int = 0) -> None:

@@ -204,10 +204,9 @@ def test_registry_catalogue():
     }
     assert "fsaie_random" not in selectable_methods()
     spec = get_method("gsai_st")
-    assert spec.kind == "global"
-    assert spec.uses_sweeps and not spec.uses_filter and not spec.uses_placement
+    assert spec.uses_sweeps and not spec.uses_filter
     local = get_method("fsaie_full")
-    assert local.uses_filter and local.uses_placement and not local.uses_sweeps
+    assert local.uses_filter and not local.uses_sweeps
 
 
 def test_registry_unknown_method():

@@ -142,8 +142,8 @@ class TestCaseCostOrdering:
         from repro.parallel.cost import estimate_case_seconds
 
         for case in suite72():
-            lo = estimate_case_seconds(case, n_setups=1)
-            hi = estimate_case_seconds(case, n_setups=9)
+            lo = estimate_case_seconds(case, n_passes=1)
+            hi = estimate_case_seconds(case, n_passes=14)
             assert 0.0 < lo < hi
 
     def test_order_is_lpt_and_deterministic(self):

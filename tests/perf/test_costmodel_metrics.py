@@ -202,17 +202,3 @@ class TestOrchestrationMetrics:
 
         m = self._metrics()
         assert OrchestrationMetrics.from_dict(m.to_dict()) == m
-
-    def test_embeds_in_regression_record(self):
-        from repro.perf.regression import RegressionComponent, RegressionRecord
-
-        rec = RegressionRecord(
-            label="nightly", scope="full campaign",
-            components=[RegressionComponent("engine", 2.0, 1.0)],
-            orchestration=self._metrics(),
-        )
-        back = RegressionRecord.from_dict(rec.to_dict())
-        assert back.orchestration == self._metrics()
-        # Records without the block stay loadable (old JSON files).
-        bare = RegressionRecord(label="old", scope="quick", components=[])
-        assert RegressionRecord.from_dict(bare.to_dict()).orchestration is None
