@@ -14,13 +14,13 @@ Components (each timed as min over repetitions, §7.1 style):
 * ``cache_replay`` — cold Skylake-L1 trace replay: the ``OrderedDict``
   walk (``replay(..., backend="reference")``) vs the per-set
   stack-distance engine (``replay(...)``).
-* ``spmv`` — CSR matvec: allocating ``bincount`` kernel vs the
-  ``np.add.reduceat`` kernel writing into caller workspaces.
-* ``fsai_apply`` — ``z = G^T (G r)``: two allocating products vs the fused
-  single-pass application over ``G``'s stored structure.
+* ``spmv`` — CSR matvec: allocating ``bincount`` kernel vs the numpy
+  backend's cached DIA/HYB or bucketed-ELL view.
+* ``fsai_apply`` — ``z = G^T (G r)``: two allocating products vs the numpy
+  backend's bound application over ``G``'s cached views.
 * ``pcg_iteration`` — a fixed PCG iteration budget end to end: the seed's
-  allocating loop vs the zero-allocation loop on the ``numpy`` backend
-  (asserted >= ``MIN_PCG_SPEEDUP``).
+  allocating loop vs the preallocated-workspace loop on the ``numpy``
+  backend (asserted >= ``MIN_PCG_SPEEDUP``).
 * ``pcg_multi_rhs`` — the serving workload: 32 right-hand sides against
   small operators, looped single-RHS ``pcg`` vs one blocked ``pcg_multi``
   over a ``(32, n)`` row block (asserted >= ``MIN_MULTI_RHS_SPEEDUP``;

@@ -16,8 +16,8 @@ modelled-time substitution (DESIGN.md §2).
 Both applications are timed on one kernel, the ``reference`` backend's
 gather, so the wall ratio compares patterns and not kernels.  The default
 numpy backend picks a storage format per factor (DIA for FSAIE(full)'s
-exact stencil here, ELL and segment sums for the random factor); its
-ratio is printed beside the asserted one.
+exact stencil here, one-block and bucketed ELL for the random factor);
+its ratio is printed beside the asserted one.
 """
 
 import numpy as np

@@ -271,7 +271,7 @@ synthetic suite and the modelled-time substitution (DESIGN.md §2):
 | `bench_parallel_scaling.py` | SpMV saturates modelled DRAM bandwidth near the paper's core counts; nnz-balanced partitions beat row-balanced on skewed matrices |
 | `bench_dynamic_pattern.py` | the cache extension composes with FSPAI-style dynamic patterns (§8/§9 complementarity), at ~zero extra misses per entry |
 | `bench_miss_ratio_curves.py` | stack-distance miss-ratio curves generalise Figure 3 to all cache capacities |
-| `bench_wall_time_motivation.py` | simulation separates cache-aware from random patterns by ~16x (15.7x on case 41); Python wall time, both factors timed on the `reference` backend's one gather kernel, by 0.83–1.08x (2-core Xeon, 8 runs). The default numpy backend's ratio, 2.1–3.5x, is printed beside it: it picks DIA for FSAIE(full)'s exact stencil and ELL/segment sums for the random factor, so it compares kernels, not patterns |
+| `bench_wall_time_motivation.py` | simulation separates cache-aware from random patterns by ~16x (16.1x on case 41); Python wall time, both factors timed on the `reference` backend's one gather kernel, by 0.92–1.04x (2-core Xeon, 7 runs). The default numpy backend's ratio, 2.6–3.3x, is printed beside it: it picks DIA for FSAIE(full)'s exact stencil and one-block/bucketed ELL for the random factor, so it compares kernels, not patterns |
 | `bench_sensitivity.py` | headline shapes hold across the (cache scale x penalty) model grid |
 | `bench_ablation_sparse_level.py` | the extension helps at every a-priori pattern level N (Alg. 1 generality) |
 

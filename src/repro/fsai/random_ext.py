@@ -41,7 +41,7 @@ def extend_pattern_random(
         raise ValueError("requested extension counts must be non-negative")
     base_rows, base_cols = base.coo()
 
-    # Admissible column window per requesting row (``want > 0``).
+    # Admissible column window [lo, hi) per requesting row (``want > 0``).
     req = np.flatnonzero(counts > 0)
     if triangular == "lower":
         lo, hi = np.zeros(len(req), dtype=np.int64), req + 1
@@ -51,49 +51,57 @@ def extend_pattern_random(
         lo = np.zeros(len(req), dtype=np.int64)
         hi = np.full(len(req), base.n_cols, dtype=np.int64)
 
-    # Flatten every admissible (row, col) candidate pair, then drop the ones
-    # already present via one searchsorted against the pattern's row-major
-    # keys (CSR order makes them sorted).
-    n_adm = hi - lo
-    offsets = np.concatenate(([0], np.cumsum(n_adm)))
-    cand_row = np.repeat(req, n_adm)
-    cand_col = (
-        np.arange(offsets[-1], dtype=np.int64)
-        - np.repeat(offsets[:-1], n_adm)
-        + np.repeat(lo, n_adm)
+    # The base entries inside each window, in CSR order.  Entry j of a
+    # row, at column b_j, has ``adj_j = b_j - lo - j`` free columns before
+    # it, so the free column of rank r is ``lo + r + #{j : adj_j <= r}``:
+    # a rank maps to its column with one searchsorted, and no window is
+    # ever materialised.
+    slot = np.full(base.n_rows, -1, dtype=np.int64)
+    slot[req] = np.arange(len(req))
+    owner = slot[base_rows]  # requesting row of each base entry, or -1
+    inside = owner >= 0
+    inside[inside] = (base_cols[inside] >= lo[owner[inside]]) & (
+        base_cols[inside] < hi[owner[inside]]
     )
-    n_cols = np.int64(base.n_cols)
-    base_keys = base_rows * n_cols + base_cols
-    cand_keys = cand_row * n_cols + cand_col
-    pos = np.searchsorted(base_keys, cand_keys)
-    pos_c = np.minimum(pos, max(len(base_keys) - 1, 0))
-    present = (
-        (base_keys[pos_c] == cand_keys) if len(base_keys) else
-        np.zeros(len(cand_keys), dtype=bool)
-    )
-    free_row = cand_row[~present]
-    free_col = cand_col[~present]
+    owner, cols = owner[inside], base_cols[inside]
+    n_base = np.bincount(owner, minlength=len(req))
+    base_start = np.concatenate(([0], np.cumsum(n_base)))
+    free = hi - lo - n_base
+    free_start = np.concatenate(([0], np.cumsum(free)))
+    j = np.arange(len(owner)) - base_start[owner]
+    adj_keys = free_start[owner] + cols - lo[owner] - j
+    want = np.minimum(counts[req], free)
 
-    # One batched draw: a uniform key per free candidate; sorting the keys
-    # within each row and keeping the first ``want`` is a uniform sample
-    # without replacement for every row simultaneously.
+    # Uniform ranks without replacement, every row in one batch.  Rows
+    # asking for at least half their free columns rank all of them by a
+    # random key and keep the first ``want`` (at most twice the request
+    # is enumerated).  The others draw ranks with replacement and redraw
+    # the duplicates until none are left; each draw collides with
+    # probability below 1/2, so few rounds run.
     rng = np.random.default_rng(seed)
-    draw = rng.random(len(free_row))
-    order = np.lexsort((draw, free_row))
-    fr = free_row[order]
-    fc = free_col[order]
-    if len(fr):
-        is_start = np.concatenate(([True], fr[1:] != fr[:-1]))
-        starts = np.flatnonzero(is_start)
-        group = np.cumsum(is_start) - 1
-        rank = np.arange(len(fr)) - starts[group]
-        keep = rank < counts[fr]
-        new_rows, new_cols = fr[keep], fc[keep]
-    else:
-        new_rows = new_cols = np.empty(0, dtype=np.int64)
+    dense = 2 * want >= free
+    d_free = free[dense]
+    d_rows = np.repeat(np.flatnonzero(dense), d_free)
+    d_rank = np.arange(len(d_rows)) - np.repeat(np.cumsum(d_free) - d_free, d_free)
+    order = np.lexsort((rng.random(len(d_rows)), d_rows))
+    d_rows, d_rank = d_rows[order], d_rank[order]
+    keep = np.arange(len(d_rows)) - np.searchsorted(d_rows, d_rows) < want[d_rows]
+    s_rows = np.repeat(np.flatnonzero(~dense), want[~dense])
+    keys = free_start[s_rows] + rng.integers(0, free[s_rows])
+    while len(keys):
+        order = np.argsort(keys, kind="stable")
+        dup = np.zeros(len(keys), dtype=bool)
+        dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        if not dup.any():
+            break
+        keys[dup] = free_start[s_rows[dup]] + rng.integers(0, free[s_rows[dup]])
+    rows = np.concatenate([d_rows[keep], s_rows])
+    ranks = np.concatenate([d_rank[keep], keys - free_start[s_rows]])
 
+    below = np.searchsorted(adj_keys, free_start[rows] + ranks, side="right")
+    new_cols = lo[rows] + ranks + below - base_start[rows]
     return Pattern.from_coo(
         base.n_rows, base.n_cols,
-        np.concatenate([base_rows, new_rows]),
+        np.concatenate([base_rows, req[rows]]),
         np.concatenate([base_cols, new_cols]),
     )

@@ -12,7 +12,8 @@ package routes all of them through a backend registry:
 Shipped backends:
 
 ``numpy`` (default)
-    ``np.add.reduceat`` segment sums with caller-provided workspaces.
+    Cached DIA/HYB views for stencils, row-length-bucketed ELL for
+    every other matrix.
 ``numba``
     Parallel ``prange`` row loops, auto-detected; silently resolves to
     ``numpy`` when numba is not installed.

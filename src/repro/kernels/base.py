@@ -17,10 +17,11 @@ Operand contract
 ----------------
 Sparse operands are duck-typed CSR objects (in practice
 :class:`repro.sparse.csr.CSRMatrix`) exposing ``n_rows``, ``n_cols``,
-``indptr``, ``indices``, ``data`` plus the cached structure helpers
-``row_ids()``, ``row_segments()`` and ``col_segments()``.  Backends never
-mutate operands; any auxiliary structure they need is cached on the
-matrix so repeated calls (the CG loop) pay for it once.
+``indptr``, ``indices``, ``data`` plus the cached structure helper
+``row_ids()``; the numpy backend also reads the cached product views
+``dia_view()``/``dia_t_view()`` and ``ell_view()``/``ell_t_view()``.
+Backends never mutate operands; any auxiliary structure they need is
+cached on the matrix so repeated calls (the CG loop) pay for it once.
 
 Dense operands (``x``, the block ``X``, ``r``/``R``) are validated at
 every public entry point: a non-float64 input is upcast to float64 with
@@ -44,21 +45,24 @@ when they are omitted:
     uniformly whether they preallocated or not.
 ``scratch``
     ``nnz``-length float buffer for the gather product ``data * x[...]``;
-    the blocked kernels reuse the same buffer for every row.  The NumPy
-    backends leave the (structure-ordered) products behind in it; other
-    backends may ignore it entirely — its contents are backend-specific,
-    only its role is contractual.
+    the blocked kernels reuse the same buffer for every row.  The
+    reference backend leaves the (structure-ordered) products behind in
+    it; the numpy and numba backends ignore it — its contents are
+    backend-specific, only its role is contractual.
 ``tmp``
     ``n``-length (``(k, n)`` for :meth:`fsai_apply_multi`) float buffer
     holding the intermediate ``t = G r`` of the fused FSAI application.
 ``work``
     ``n``-length float buffer for :meth:`pcg_step`'s AXPY temporaries.
 
-With all buffers supplied, a backend performs **no per-call heap
-allocation** in ``spmv``/``fsai_apply``/``pcg_step``/``pcg_direction``
-(the empty-row/empty-column correction path of the NumPy backend is the
-one documented exception; FSAI factors and SPD system matrices never
-take it).  See ``docs/kernels.md`` for the full rationale.
+With all buffers supplied, ``pcg_step``/``pcg_direction`` allocate
+nothing, and the sparse products allocate no result or workspace of
+their own.  What a product still allocates is backend-specific: the
+numpy backend gathers one block per product (DIA's selected windows, or
+one ``x.take`` per ELL bucket plus, for a multi-bucket view, each
+bucket's row-dot before it is scattered into ``out``), because
+preallocated ``np.take(..., out=)`` gathers measured slower.  See
+``docs/kernels.md`` for the full rationale.
 """
 
 from __future__ import annotations

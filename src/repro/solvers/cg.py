@@ -7,14 +7,21 @@ Implementation notes
   and swaps the ``r·r`` dots for ``r·z``.
 * Convergence test: ``‖r_k‖₂ ≤ rtol · ‖r₀‖₂`` (the paper reduces the initial
   residual by eight orders of magnitude, i.e. ``rtol = 1e-8``) with an
-  absolute floor ``atol`` for the ``b = 0`` corner.
-* The loop is **zero-allocation**: ``r``/``d``/``q``/``z`` plus one AXPY
-  workspace and one ``nnz``-length SpMV gather scratch are allocated once
-  up front, and every per-iteration operation — the SpMV, the fused
-  iterate update (:meth:`~repro.kernels.base.KernelBackend.pcg_step`), the
+  absolute floor ``atol`` for the ``b = 0`` corner.  ``converged`` keeps
+  this recurrence meaning; one product with ``A`` at exit records the
+  true ``‖b - A x‖₂ / ‖r₀‖₂`` beside it
+  (:attr:`~repro.solvers.convergence.SolveResult.true_relative_residual`),
+  so a recurrence that drifted from the true residual is visible instead
+  of silently reported as converged.
+* The loop's working set — ``r``/``d``/``q``/``z``, one AXPY workspace
+  and one ``nnz``-length gather scratch — is allocated once up front, and
+  every per-iteration operation — the SpMV, the fused iterate update
+  (:meth:`~repro.kernels.base.KernelBackend.pcg_step`), the
   preconditioner application (``apply_into`` when the preconditioner
-  supports it) and the direction update — runs in place through the active
-  :mod:`repro.kernels` backend.
+  supports it) and the direction update — writes into it in place
+  through the active :mod:`repro.kernels` backend.  The sparse products
+  still allocate their gathered operand per call on the numpy backend
+  (see :mod:`repro.kernels.base`).
 * ``flops`` counts the classic 2·nnz per SpMV, 2n per dot, 2n per AXPY and
   the preconditioner's own estimate, feeding the roofline model.
 """
@@ -149,10 +156,12 @@ def _pcg(
         history.record(r_norm0)
     threshold = max(rtol * r_norm0, atol)
     if r_norm0 <= threshold:  # already converged (e.g. b = 0, x0 = 0)
+        # r is b - A x exactly here, so the true residual needs no product.
+        relative = 0.0 if r_norm0 == 0 else 1.0
         return SolveResult(
             x=x, converged=True, iterations=0, residual_norm=r_norm0,
-            relative_residual=0.0 if r_norm0 == 0 else 1.0,
-            history=history, flops=flops,
+            relative_residual=relative, history=history, flops=flops,
+            true_relative_residual=relative,
         )
 
     # The loop's entire working set, allocated once: three n-vectors plus a
@@ -217,6 +226,9 @@ def _pcg(
         flops += 2 * n
         rho = rho_new
 
+    # True residual of the returned iterate, into the spent q buffer.
+    spmv_op(x, q)
+    np.subtract(b, q, out=q)
     return SolveResult(
         x=x,
         converged=converged,
@@ -225,6 +237,9 @@ def _pcg(
         relative_residual=r_norm / r_norm0 if r_norm0 > 0 else 0.0,
         history=history,
         flops=flops,
+        true_relative_residual=(
+            math.sqrt(backend.dot(q, q)) / r_norm0 if r_norm0 > 0 else 0.0
+        ),
     )
 
 
@@ -373,9 +388,10 @@ def _pcg_multi(
 
     cols = np.flatnonzero(~converged)  # original ids of the block's rows
     if k == 0 or len(cols) == 0:
+        # r_full is B - A X exactly here: the true residual is r_norm0.
         return _multi_result(
             x_full, converged, iterations, r_norm_final, r_norm0, histories,
-            flops,
+            flops, r_norm0,
         )
 
     # The active block's entire working set, reallocated only at the rare
@@ -460,8 +476,13 @@ def _pcg_multi(
             active = np.ones(kb, dtype=bool)
 
     x_full[cols] = x_b
+    # True residuals of the returned block, one blocked product into the
+    # spent initial-residual block.
+    spmm_op(x_full, r_full)
+    np.subtract(b, r_full, out=r_full)
     return _multi_result(
         x_full, converged, iterations, r_norm_final, r_norm0, histories, flops,
+        np.sqrt(_row_dots(r_full, r_full)),
     )
 
 
@@ -473,6 +494,7 @@ def _multi_result(
     r_norm0: np.ndarray,
     histories,
     flops: np.ndarray,
+    true_norm: np.ndarray,
 ) -> MultiSolveResult:
     """Assemble per-row :class:`SolveResult` entries into the block result."""
     columns = []
@@ -488,6 +510,9 @@ def _multi_result(
                 relative_residual=rn / rn0 if rn0 > 0 else 0.0,
                 history=histories[j],
                 flops=int(flops[j]),
+                true_relative_residual=(
+                    float(true_norm[j]) / rn0 if rn0 > 0 else 0.0
+                ),
             )
         )
     return MultiSolveResult(x=x_full, columns=columns)

@@ -62,18 +62,25 @@ class SolveResult:
     x:
         Final iterate.
     converged:
-        True iff the relative-residual tolerance was met within the budget.
+        True iff the *recurrence* residual met the tolerance within the
+        budget.  It is not recomputed from ``b - A x``: on a badly scaled
+        system the recurrence can drift far from the true residual, and
+        :attr:`true_relative_residual` is where that shows.
     iterations:
         CG iterations performed.
     residual_norm:
-        Final ``‖r‖₂``.
+        Final recurrence ``‖r‖₂``.
     relative_residual:
         ``‖r‖₂ / ‖r₀‖₂`` (0 when ``r₀ = 0``).
     history:
         Full residual trace (omitted when ``record_history=False``).
     flops:
-        Estimated floating-point operations executed by the solve (SpMV,
-        preconditioner application, dots, AXPYs).
+        Estimated floating-point operations of the iterations (SpMV,
+        preconditioner application, dots, AXPYs); the exit residual
+        check is not counted.
+    true_relative_residual:
+        ``‖b - A x‖₂ / ‖r₀‖₂`` for the returned ``x``, computed once at
+        exit (0 when ``r₀ = 0``; NaN on results not built by a solver).
     """
 
     x: FloatArray
@@ -83,6 +90,7 @@ class SolveResult:
     relative_residual: float
     history: Optional[ConvergenceHistory] = None
     flops: int = 0
+    true_relative_residual: float = float("nan")
 
     def __repr__(self) -> str:
         status = "converged" if self.converged else "NOT converged"

@@ -25,7 +25,8 @@ class Preconditioner(Protocol):
 
     Implementations may additionally offer ``apply_into(r, out)`` writing
     the result into a caller-owned buffer; the PCG loop uses it when
-    present to stay allocation-free (all shipped preconditioners do).
+    present, so no result vector is allocated per application (all
+    shipped preconditioners do).
     """
 
     def apply(self, r: FloatArray) -> FloatArray:

@@ -6,15 +6,14 @@ consume CSR.  The kernels themselves live in :mod:`repro.kernels` — a
 pluggable backend registry (``numpy``/``numba``/``reference``) —
 :meth:`matvec`/:meth:`rmatvec` validate shapes, then delegate to the
 active backend.  The matrix caches the structure views the backends need
-(row-id expansion, row segment starts, the column-grouped entry
-permutation) so repeated products pay for them once.
+(row-id expansion, the diagonal and row-length-bucketed ELL views of
+``A`` and ``A.T``) so repeated products pay for them once.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,14 +28,17 @@ from repro.errors import ShapeError
 from repro.kernels import get_backend
 from repro.sparse.pattern import Pattern, _validate_structure
 
-__all__ = ["CSRMatrix", "ColSegments", "EllView"]
+__all__ = ["CSRMatrix", "EllBucket", "EllView"]
 
-#: ELL fast-path gates (see :meth:`CSRMatrix.ell_view`): below the nnz
-#: floor the segment-sum path's fixed cost is already negligible, and the
-#: tiny-matrix scratch contract stays observable; above the padding ratio
-#: the zero-filled tail would waste more bandwidth than the per-segment
-#: reduction machinery costs.
+#: Below this many stored entries no DIA/HYB view (and no ELL form of a
+#: HYB remainder) is built: the plain ELL view already costs next to
+#: nothing there.
 _ELL_MIN_NNZ = 256
+
+#: Padding bound of the ELL view (see :meth:`CSRMatrix.ell_view`): a
+#: matrix whose rows pad to the widest row within this factor of its
+#: stored entry count is one block; otherwise every row-length bucket
+#: stays within it.
 _ELL_MAX_PAD = 1.5
 
 #: A DIA view stores ``n_diagonals * n`` values; build it only when that
@@ -55,7 +57,7 @@ _HYB_MIN_COVERAGE = 0.5
 #: A HYB remainder whose rows pad to within this factor is stored in ELL
 #: form (gather + einsum row-dot beats the ``bincount`` scatter); sparser
 #: remainders stay COO.  Looser than ``_ELL_MAX_PAD`` because the
-#: alternative here is the pricey scatter, not a tuned segment sum.
+#: alternative here is the pricey scatter, not a second padded bucket.
 _HYB_REM_MAX_PAD = 2.0
 
 #: Byte budget of the gathered window stack in one blocked DIA product
@@ -72,25 +74,6 @@ _DIA_BLOCK_BYTES = 256 * 1024
 
 #: Cache slot sentinel: "not computed yet" (``None`` means "ineligible").
 _UNSET = object()
-
-
-@dataclass(frozen=True)
-class ColSegments:
-    """Column-grouped view of a CSR matrix's entries (cached, immutable).
-
-    ``rows``/``data`` are the entry row ids and values permuted into
-    column-major order (stable sort by column, so row order is preserved
-    within a column); ``starts`` marks each column group's first position.
-    ``cols`` lists the group's column ids, or ``None`` when every column
-    is non-empty (then group ``j`` is column ``j``).  This is exactly the
-    structure a transpose product needs: ``A.T @ x`` is a gather over
-    ``rows`` followed by one segment sum per group.
-    """
-
-    rows: IndexArray
-    data: FloatArray
-    starts: IndexArray
-    cols: Optional[IndexArray]
 
 
 class DiaView:
@@ -133,7 +116,7 @@ class DiaView:
                  rem_out: Optional[IndexArray] = None,
                  rem_in: Optional[IndexArray] = None,
                  rem_data: Optional[FloatArray] = None,
-                 rem_ell: Optional["EllView"] = None) -> None:
+                 rem_ell: Optional["EllBucket"] = None) -> None:
         self.data = data  # (k, n_out): data[d, i] = A[i, i + offsets[d]]
         lo = max(0, -int(offsets[0]))
         hi = max(0, int(offsets[-1]) + n_out - n_in)
@@ -216,7 +199,7 @@ def _build_dia(
     Pure stencils (every diagonal worth storing) get an exact DIA view;
     almost-stencils get the HYB split with the under-occupied diagonals'
     entries kept as a COO remainder; anything unstructured returns
-    ``None`` and the caller falls back to ELL / segment sums.
+    ``None`` and the caller falls back to the ELL view.
     """
     nnz = len(values)
     if nnz < _ELL_MIN_NNZ:
@@ -242,14 +225,13 @@ def _build_dia(
     off_band = ~on_band
     rem_out, rem_in = out_ids[off_band], in_ids[off_band]
     rem_values = values[off_band]
-    # Dense-ish remainders are cheaper row-padded (gather + einsum) than
-    # scattered through bincount; group them by output id first.
-    order = np.argsort(rem_out, kind="stable")
-    rem_ell = _build_ell(
-        np.bincount(rem_out, minlength=n_out), rem_in[order],
-        rem_values[order], n_out, max_pad=_HYB_REM_MAX_PAD,
-    )
-    if rem_ell is not None:
+    # Dense-ish remainders are cheaper as one row-padded block (gather +
+    # einsum) than scattered through bincount; group them by output id.
+    counts = np.bincount(rem_out, minlength=n_out)
+    if (len(rem_values) >= _ELL_MIN_NNZ
+            and n_out * counts.max() <= _HYB_REM_MAX_PAD * len(rem_values)):
+        order = np.argsort(rem_out, kind="stable")
+        rem_ell = _ell_block(counts, rem_in[order], rem_values[order])
         return DiaView(data, dense, n_in, n_out, rem_ell=rem_ell)
     return DiaView(
         data, dense, n_in, n_out,
@@ -257,40 +239,111 @@ def _build_dia(
     )
 
 
-@dataclass(frozen=True)
-class EllView:
-    """Row-padded (ELLPACK) view of a CSR matrix (cached, immutable).
+class EllBucket(NamedTuple):
+    """One padded block of an ELL view: rows of one row-length range.
 
-    Every row is padded to the widest row's length: ``gather_ids`` and
-    ``data`` are ``(n_rows, width)`` arrays where padding slots gather
-    index 0 against a stored value of 0.0, so a product over the padded
-    arrays equals the exact CSR product.  SpMV then collapses to one 2-D
-    gather and one ``einsum`` row-dot — two NumPy calls with no
-    per-segment reduction machinery — which is the numpy backend's fast
-    path for the near-uniform row lengths of FEM/stencil matrices.
+    ``gather_ids`` and ``data`` are ``(m, width)`` arrays, every row
+    padded to the block's widest row: padding slots gather index 0
+    against a stored value of 0.0, so a product over the padded arrays
+    equals the exact CSR product.  ``rows`` lists the block's output ids
+    in ascending order, or is ``None`` when the block holds every row in
+    order.
     """
 
+    rows: Optional[IndexArray]
     gather_ids: IndexArray
     data: FloatArray
 
 
-def _build_ell(
+def _ell_block(
     counts: np.ndarray, gather_ids: IndexArray, values: FloatArray,
-    n_groups: int, max_pad: float = _ELL_MAX_PAD,
-) -> Optional[EllView]:
-    """Pad ``counts``-sized groups to uniform width, or ``None`` if wasteful."""
-    nnz = len(values)
-    if nnz < _ELL_MIN_NNZ:
-        return None
-    width = int(counts.max()) if n_groups else 0
-    if width == 0 or n_groups * width > max_pad * nnz:
-        return None
-    idx = np.zeros((n_groups, width), dtype=np.int64)
-    dat = np.zeros((n_groups, width))
+    rows: Optional[IndexArray] = None,
+) -> EllBucket:
+    """Pad ``counts``-sized groups (entries in group order) to one width."""
+    width = int(counts.max(initial=0))
+    idx = np.zeros((len(counts), width), dtype=np.int64)
+    dat = np.zeros((len(counts), width))
     valid = np.arange(width) < counts[:, None]
     idx[valid] = gather_ids
     dat[valid] = values
-    return EllView(gather_ids=idx, data=dat)
+    return EllBucket(rows, idx, dat)
+
+
+class EllView:
+    """Row-length-bucketed ELLPACK view of a CSR matrix (cached, immutable).
+
+    A product is one 2-D gather and one ``einsum`` row-dot per bucket, with
+    no per-segment reduction machinery.  Rows that pad into one block
+    (within ``_ELL_MAX_PAD`` of the stored entries, the near-uniform rows
+    of FEM and stencil matrices) form a single bucket written straight
+    into ``out``.  Skewed matrices — an extended FSAI factor's few long
+    rows among thousands of 5-entry ones, or a graph's hubs — get a short
+    list of buckets over ascending row-length ranges, each padded only to
+    its own widest row and scattered into ``out`` by its row ids.  The
+    buckets cover every row exactly once, empty rows included, so no
+    output needs a separate zero fill.
+    """
+
+    __slots__ = ("buckets",)
+
+    def __init__(self, buckets: Tuple[EllBucket, ...]) -> None:
+        self.buckets = buckets
+
+    def apply(self, x: FloatArray, out: FloatArray) -> FloatArray:
+        """``out = A @ x`` over the padded buckets."""
+        for rows, ids, data in self.buckets:
+            if rows is None:
+                _einsum("ij,ij->i", data, x.take(ids), out=out)
+            else:
+                out[rows] = _einsum("ij,ij->i", data, x.take(ids))
+        return out
+
+    def apply_multi(self, x: FloatArray, out: FloatArray) -> FloatArray:
+        """:meth:`apply` on every row of a ``(k, n)`` block, in turn."""
+        for xj, oj in zip(x, out):
+            self.apply(xj, oj)
+        return out
+
+
+def _bucket_ids(counts: np.ndarray) -> np.ndarray:
+    """Bucket of every group: a greedy plan over ascending group lengths.
+
+    The plan walks the length histogram the way
+    :func:`repro.kernels.setup.plan_groups` does.  A length joins the
+    open bucket only when the padding it forces on the bucket's shorter
+    rows stays within ``_ELL_MAX_PAD - 1`` of the entries it brings;
+    otherwise it opens the next bucket.  Every bucket therefore pads
+    within ``_ELL_MAX_PAD`` of its entries, and a bulk of equal rows is
+    never widened by a few longer ones.
+    """
+    sizes, n_rows = np.unique(counts, return_counts=True)
+    plan = np.empty(len(sizes), dtype=np.int64)
+    bucket = rows = width = 0
+    for j, (k, m) in enumerate(zip(sizes.tolist(), n_rows.tolist())):
+        if rows and rows * (k - width) > (_ELL_MAX_PAD - 1.0) * m * k:
+            bucket, rows = bucket + 1, 0
+        plan[j] = bucket
+        rows += m
+        width = k
+    return plan[np.searchsorted(sizes, counts)]
+
+
+def _build_ell(
+    counts: np.ndarray, gather_ids: IndexArray, values: FloatArray,
+) -> EllView:
+    """Bucketed ELL view over ``counts``-sized groups in group order."""
+    if len(counts) * counts.max(initial=0) <= _ELL_MAX_PAD * len(values):
+        return EllView((_ell_block(counts, gather_ids, values),))
+    bucket = _bucket_ids(counts)
+    entry_bucket = np.repeat(bucket, counts)
+    buckets = []
+    for b in range(int(bucket.max()) + 1):
+        rows = np.flatnonzero(bucket == b)
+        keep = entry_bucket == b
+        buckets.append(
+            _ell_block(counts[rows], gather_ids[keep], values[keep], rows)
+        )
+    return EllView(tuple(buckets))
 
 
 class CSRMatrix:
@@ -309,7 +362,7 @@ class CSRMatrix:
 
     __slots__ = (
         "n_rows", "n_cols", "indptr", "indices", "data", "_row_ids",
-        "_entry_keys", "_row_segments", "_col_segments", "_ell", "_ell_t",
+        "_entry_keys", "_ell", "_ell_t",
         "_dia", "_dia_t", "_fingerprint",
     )
 
@@ -330,10 +383,8 @@ class CSRMatrix:
             )
         self._row_ids: Optional[IndexArray] = None  # lazy np.repeat expansion
         self._entry_keys: Optional[IndexArray] = None  # lazy row-major keys
-        self._row_segments: Optional[Tuple] = None  # lazy kernel row starts
-        self._col_segments: Optional[ColSegments] = None  # lazy column view
-        self._ell = _UNSET  # lazy row-padded view (None = ineligible)
-        self._ell_t = _UNSET  # lazy column-padded view for A.T products
+        self._ell: Optional[EllView] = None  # lazy bucketed row view
+        self._ell_t: Optional[EllView] = None  # lazy bucketed view of A.T
         self._dia = _UNSET  # lazy diagonal view (None = not a stencil)
         self._dia_t = _UNSET  # lazy diagonal view of A.T
         self._fingerprint: Optional[str] = None  # lazy content hash
@@ -401,49 +452,6 @@ class CSRMatrix:
             self._entry_keys = self.row_ids() * np.int64(self.n_cols) + self.indices
         return self._entry_keys
 
-    def row_segments(self) -> Tuple[IndexArray, Optional[IndexArray]]:
-        """``(starts, rows)`` for per-row segment sums (cached).
-
-        Without empty rows — the common case for SPD systems and FSAI
-        factors — ``rows`` is ``None`` and ``starts`` is ``indptr[:-1]``,
-        directly usable as ``np.add.reduceat`` offsets.  With empty rows,
-        ``starts`` holds only the non-empty rows' offsets and ``rows``
-        their row ids (the empty-row correction of the numpy backend).
-        """
-        if self._row_segments is None:
-            starts = self.indptr[:-1]
-            if self.n_rows and np.all(starts != self.indptr[1:]):
-                self._row_segments = (starts, None)
-            else:
-                rows = np.flatnonzero(starts != self.indptr[1:])
-                self._row_segments = (starts[rows], rows)
-        return self._row_segments
-
-    def col_segments(self) -> ColSegments:
-        """Column-grouped entry view for transpose products (cached).
-
-        One stable argsort of ``indices`` permutes the entries into
-        column-major order; the result is cached so every later
-        ``A.T @ x`` is a gather plus one ``reduceat`` — no bincount, no
-        transpose materialisation.
-        """
-        if self._col_segments is None:
-            order = np.argsort(self.indices, kind="stable")
-            sorted_cols = self.indices[order]
-            starts = np.flatnonzero(
-                np.diff(sorted_cols, prepend=np.int64(-1)) != 0
-            )
-            cols: Optional[IndexArray] = sorted_cols[starts]
-            if cols is not None and len(cols) == self.n_cols:
-                cols = None  # every column non-empty: group j is column j
-            self._col_segments = ColSegments(
-                rows=self.row_ids()[order],
-                data=self.data[order],
-                starts=starts,
-                cols=cols,
-            )
-        return self._col_segments
-
     def dia_view(self) -> Optional[DiaView]:
         """Diagonal view for the numpy backend's stencil SpMV (cached).
 
@@ -467,37 +475,31 @@ class CSRMatrix:
             ) if self.n_rows == self.n_cols else None
         return self._dia_t
 
-    def ell_view(self) -> Optional[EllView]:
-        """Row-padded view for the numpy backend's SpMV fast path (cached).
+    def ell_view(self) -> EllView:
+        """Row-length-bucketed ELL view for the numpy backend (cached).
 
-        Returns ``None`` when padding would be wasteful: fewer than
-        ``_ELL_MIN_NNZ`` entries, or the widest row forcing more than
-        ``_ELL_MAX_PAD``× the stored entry count.  Empty rows need no
-        correction here — their padded slots contribute exact zeros.
+        Built for every matrix; see :class:`EllView` for when it is one
+        block and when several.
         """
-        if self._ell is _UNSET:
+        if self._ell is None:
             self._ell = _build_ell(
-                np.diff(self.indptr), self.indices, self.data, self.n_rows
+                np.diff(self.indptr), self.indices, self.data
             )
         return self._ell
 
-    def ell_t_view(self) -> Optional[EllView]:
-        """Column-padded view for transpose products (cached).
+    def ell_t_view(self) -> EllView:
+        """Bucketed ELL view of ``A.T``, grouped by column (cached).
 
-        The column-grouped permutation of :meth:`col_segments` padded to
-        the fullest column's length, so ``A.T @ x`` becomes the same
+        One stable argsort of ``indices`` orders the entries by column
+        (rows ascending within a column), so ``A.T @ x`` takes the same
         gather + row-dot shape as :meth:`ell_view` gives ``A @ x``.
         """
-        if self._ell_t is _UNSET:
-            seg = self.col_segments()
-            ends = np.append(seg.starts[1:], self.nnz)
-            group_counts = ends - seg.starts
-            if seg.cols is None:
-                counts = group_counts
-            else:
-                counts = np.zeros(self.n_cols, dtype=np.int64)
-                counts[seg.cols] = group_counts
-            self._ell_t = _build_ell(counts, seg.rows, seg.data, self.n_cols)
+        if self._ell_t is None:
+            order = np.argsort(self.indices, kind="stable")
+            self._ell_t = _build_ell(
+                np.bincount(self.indices, minlength=self.n_cols),
+                self.row_ids()[order], self.data[order],
+            )
         return self._ell_t
 
     # ------------------------------------------------------------------
@@ -516,10 +518,10 @@ class CSRMatrix:
         """``y = A @ x`` — CSR SpMV via the active kernel backend.
 
         ``out`` may be supplied to receive the result.  ``scratch`` — an
-        ``nnz``-length float buffer — eliminates the per-call gather/product
-        allocation on the numpy backends, which is the only allocation the
-        CG hot loop would otherwise make per iteration.  ``backend`` names
-        a registered kernel backend (default: the registry's active one).
+        ``nnz``-length float buffer — receives the gather products on the
+        reference backend instead of a fresh array; the numpy backend's
+        views do not use it.  ``backend`` names a registered kernel
+        backend (default: the registry's active one).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
@@ -535,8 +537,8 @@ class CSRMatrix:
 
         Every stored entry ``(i, j, v)`` contributes ``v * x[i]`` to
         ``y[j]``; the active backend chooses between scatter-add and the
-        cached column-grouped segment sum.  ``out``/``scratch``/``backend``
-        work as in :meth:`matvec`.
+        cached transpose views (:meth:`dia_t_view`, :meth:`ell_t_view`).
+        ``out``/``scratch``/``backend`` work as in :meth:`matvec`.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_rows,):

@@ -2,14 +2,16 @@
 
 The matrix zoo below is chosen to drive each backend through *every* code
 path it owns: the adversarial small shapes (empty rows/columns, explicit
-zeros, single-row/column, fully empty) all sit under the 256-nnz
-fast-path gate and exercise the segment-sum fallbacks, while the large
-structured cases are built to trip, respectively, the exact DIA view, the
-HYB split with a COO remainder, the HYB split with an ELL remainder, the
-row-padded ELL view, and the reduceat fallback with the empty-row
-correction.  A structure probe asserts each case really takes the path
-it was designed for, so a gate-constant tweak cannot silently turn the
-zoo into six copies of the same fallback test.
+zeros, single-row/column, fully empty) all sit under the 256-nnz DIA
+gate and take the numpy backend's ELL view at its smallest, while the
+large structured cases are built to trip, respectively, the exact DIA
+view, the HYB split with a COO remainder, the HYB split with an ELL
+remainder, the one-block ELL view, a multi-bucket ELL view over skewed
+rows with empty ones among them, and a multi-bucket view shaped like an
+extended FSAI factor (mostly 5-entry rows, a few long ones, empty
+columns).  A structure probe asserts each case really takes the path it
+was designed for, so a gate-constant tweak cannot silently turn the zoo
+into copies of the same test.
 """
 
 import numpy as np
@@ -112,13 +114,38 @@ def _ell_uniform_rows(rng, n=100, per_row=8):
 
 
 def _skewed_rows(rng, n=300):
-    """One huge row, many short ones, some empty -> reduceat fallback."""
+    """One huge row, many short ones, some empty -> multi-bucket ELL.
+
+    Its zoo id, ``reduceat_skewed``, names the segment-sum kernel this
+    matrix was first built for; the id is kept so the parametrized test
+    ids stay stable.
+    """
     d = np.zeros((n, n))
     d[0, rng.choice(n, size=100, replace=False)] = rng.standard_normal(100)
     for i in range(1, n):
         if i % 5 == 0:
             continue  # empty row
         d[i, rng.choice(n, size=2, replace=False)] = rng.standard_normal(2)
+    return csr_from_dense(d)
+
+
+def _factor_like_rows(rng, n=400):
+    """Lower triangular, mostly 5-entry rows, a few dozen of 7-16 entries.
+
+    The shape of an extended FSAI factor after a bandwidth-reducing
+    renumbering: one bulk row length with a thin tail of long rows, so
+    neither ``A`` nor ``A.T`` pads into one block.  Every 37th column is
+    left empty (its diagonal entry too), so the transposed view carries
+    empty groups.
+    """
+    d = np.zeros((n, n))
+    usable = np.arange(n) % 37 != 5
+    long_rows = set(rng.choice(np.arange(40, n), size=30, replace=False))
+    for i in range(n):
+        window = np.flatnonzero(usable[max(0, i - 40):i + 1]) + max(0, i - 40)
+        want = int(rng.integers(7, 17)) if i in long_rows else 5
+        cols = rng.choice(window, size=min(want, len(window)), replace=False)
+        d[i, cols] = rng.standard_normal(len(cols))
     return csr_from_dense(d)
 
 
@@ -136,6 +163,7 @@ def _zoo():
         ("hyb_ell", _hyb_ell_remainder()),
         ("ell_uniform", _ell_uniform_rows(rng)),
         ("reduceat_skewed", _skewed_rows(rng)),
+        ("factor_like", _factor_like_rows(rng)),
     ]
 
 
@@ -152,11 +180,39 @@ def test_zoo_exercises_every_format():
     hyb_ell = by_name["hyb_ell"].dia_view()
     assert hyb_ell is not None and hyb_ell.rem_ell is not None
     ell = by_name["ell_uniform"]
-    assert ell.dia_view() is None and ell.ell_view() is not None
-    fallback = by_name["reduceat_skewed"]
-    assert fallback.dia_view() is None and fallback.ell_view() is None
-    _, rows = fallback.row_segments()
-    assert rows is not None  # empty rows force the corrected gather path
+    assert ell.dia_view() is None
+    (block,) = ell.ell_view().buckets
+    assert block.rows is None  # one (n, width) block, written in place
+    width = int(np.diff(ell.indptr).max())
+    ids = np.zeros((ell.n_rows, width), dtype=np.int64)
+    data = np.zeros((ell.n_rows, width))
+    for i in range(ell.n_rows):
+        cols, vals = ell.row(i)
+        ids[i, :len(cols)] = cols
+        data[i, :len(vals)] = vals
+    assert np.array_equal(block.gather_ids, ids)
+    assert np.array_equal(block.data, data)
+    skewed = by_name["reduceat_skewed"]
+    assert skewed.dia_view() is None
+    assert np.any(np.diff(skewed.indptr) == 0)
+    _assert_buckets_cover(skewed.ell_view(), np.diff(skewed.indptr))
+    factor = by_name["factor_like"]
+    assert factor.dia_view() is None and factor.nnz >= 256
+    assert np.any(np.bincount(factor.indices, minlength=factor.n_cols) == 0)
+    _assert_buckets_cover(factor.ell_view(), np.diff(factor.indptr))
+    _assert_buckets_cover(
+        factor.ell_t_view(), np.bincount(factor.indices, minlength=factor.n_cols)
+    )
+
+
+def _assert_buckets_cover(view, lengths):
+    """Several buckets, every row in exactly one, each within the pad bound."""
+    assert len(view.buckets) > 1
+    rows = np.concatenate([b.rows for b in view.buckets])
+    assert np.array_equal(np.sort(rows), np.arange(len(lengths)))
+    for b in view.buckets:
+        assert np.array_equal(np.count_nonzero(b.data, axis=1), lengths[b.rows])
+        assert b.data.size <= 1.5 * lengths[b.rows].sum()
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

@@ -3,7 +3,7 @@
 A block holds one vector per row: ``(k, n)``, C-contiguous.  The SpMM /
 SpMM^T / fused multi-FSAI kernels reuse the matrix zoo from
 ``test_backends`` so each format (exact DIA, HYB with COO or ELL
-remainder, row-padded ELL, reduceat fallback, and the adversarial small
+remainder, one-block and multi-bucket ELL, and the adversarial small
 shapes) is driven through its blocked twin at several block widths,
 including ``k=1`` (degenerate block) and a width wide enough to matter
 for the serving workload (``k=32``).  Beyond dense agreement, every row
