@@ -157,7 +157,10 @@ class KernelBackend(ABC):
     Implementations must be numerically equivalent — the property suite
     (``tests/kernels``) holds every registered backend to the dense
     reference within ``1e-13`` — but are free to differ in summation
-    strategy, parallelism and workspace use.
+    strategy, parallelism and workspace use.  The numpy backend's DIA
+    and ELL products keep the reference backend's summation order and
+    are asserted equal to its bytes; only its HYB products reorder a
+    row's sum.
 
     The public entry points (:meth:`spmv`, :meth:`spmm`, …) validate
     operands and allocate missing ``out`` buffers, then delegate to the

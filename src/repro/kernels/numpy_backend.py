@@ -13,20 +13,20 @@ structure-driven format selection:
 * **HYB fast path** — almost-stencils (a dominant band plus scattered
   couplings, as boundary conditions produce) split into a DIA part for
   the well-occupied diagonals plus a remainder for the leftovers —
-  one row-padded block when the remainder pads cheaply, one gather +
-  ``bincount`` scatter otherwise.  The split reorders accumulation
-  (band terms first, scattered terms second), so the HYB path is
-  float-associativity-accurate (1e-13), not bitwise.
+  one slot-major padded block when the remainder pads cheaply, one
+  gather + ``bincount`` scatter otherwise.  The split reorders
+  accumulation (band terms first, scattered terms second), so the HYB
+  path is float-associativity-accurate (1e-13), not bitwise.
 * **ELL** — every other matrix, of any size or shape, takes its
   row-length-bucketed ELL view
   (:meth:`~repro.sparse.csr.CSRMatrix.ell_view`): one 2-D gather plus
-  one ``einsum`` row-dot per bucket.  Near-uniform rows are a single
-  bucket; skewed ones (an extended FSAI factor's few long rows) a short
-  list, each padded only to its own widest row.  The transpose product
-  uses the column-grouped twin
-  (:meth:`~repro.sparse.csr.CSRMatrix.ell_t_view`).  The row-dot may
-  reassociate a row's sum, so agreement with the reference backend is
-  asserted to 1e-13 rather than bitwise.
+  one ``einsum("km,km->m")`` per bucket over slot-major ``(width, m)``
+  arrays.  Near-uniform rows are a single bucket; skewed ones (an
+  extended FSAI factor's few long rows) a short list, each padded only
+  to its own widest row.  The transpose product uses the column-grouped
+  twin (:meth:`~repro.sparse.csr.CSRMatrix.ell_t_view`).  Each row is
+  summed from 0.0 in stored order, the reference backend's ``bincount``
+  order, so every ELL product is bit-identical to the reference kernel.
 
 The blocked kernels take a ``(k, n)`` block, one vector per row.  Only
 the DIA part of a DIA or HYB view has a batched form

@@ -12,7 +12,9 @@ Implementation notes
   true ``‖b - A x‖₂ / ‖r₀‖₂`` beside it
   (:attr:`~repro.solvers.convergence.SolveResult.true_relative_residual`),
   so a recurrence that drifted from the true residual is visible instead
-  of silently reported as converged.
+  of silently reported as converged.  While tracing, each converged
+  solve (or block row) whose true residual exceeds 10× the stopping
+  threshold adds one to the ``cg.true_residual_gap`` counter.
 * The loop's working set — ``r``/``d``/``q``/``z``, one AXPY workspace
   and one ``nnz``-length gather scratch — is allocated once up front, and
   every per-iteration operation — the SpMV, the fused iterate update
@@ -229,6 +231,10 @@ def _pcg(
     # True residual of the returned iterate, into the spent q buffer.
     spmv_op(x, q)
     np.subtract(b, q, out=q)
+    true_norm = math.sqrt(backend.dot(q, q))
+    if converged and true_norm > 10 * threshold:
+        # "Converged" on a recurrence that drifted from the true residual.
+        trace.add_counter("cg.true_residual_gap")  # no-op unless tracing is on
     return SolveResult(
         x=x,
         converged=converged,
@@ -237,9 +243,7 @@ def _pcg(
         relative_residual=r_norm / r_norm0 if r_norm0 > 0 else 0.0,
         history=history,
         flops=flops,
-        true_relative_residual=(
-            math.sqrt(backend.dot(q, q)) / r_norm0 if r_norm0 > 0 else 0.0
-        ),
+        true_relative_residual=true_norm / r_norm0 if r_norm0 > 0 else 0.0,
     )
 
 
@@ -480,9 +484,15 @@ def _pcg_multi(
     # spent initial-residual block.
     spmm_op(x_full, r_full)
     np.subtract(b, r_full, out=r_full)
+    true_norm = np.sqrt(_row_dots(r_full, r_full))
+    if trace.enabled():
+        # Rows "converged" on a recurrence that drifted from the truth.
+        gaps = int(np.count_nonzero(converged & (true_norm > 10 * thresholds)))
+        if gaps:
+            trace.add_counter("cg.true_residual_gap", gaps)
     return _multi_result(
         x_full, converged, iterations, r_norm_final, r_norm0, histories, flops,
-        np.sqrt(_row_dots(r_full, r_full)),
+        true_norm,
     )
 
 

@@ -90,14 +90,17 @@ class DiaView:
     Almost-stencils (a dominant band plus scattered off-band entries, as
     boundary conditions and irregular couplings produce) get a *hybrid*
     split in the spirit of the classic HYB format: the well-occupied
-    diagonals form the DIA part and the leftover entries are applied as a
-    COO remainder through one gather + ``bincount`` scatter per product.
+    diagonals form the DIA part and the leftover entries are added on
+    top, either as one slot-major padded block (``rem_ell``, an
+    :class:`EllBucket` over every output row, contracted like an ELL
+    bucket) or as a COO remainder through one gather + ``bincount``
+    scatter per product.
 
     When the remainder is empty, offsets ascend, so per output element
     the ``k`` terms accumulate in column order — the same sequential
     order as the CSR reference kernel, keeping the pure-stencil fast path
     bit-exact, not just close.  A non-empty remainder reorders the
-    accumulation (DIA terms first, scattered terms second), which is
+    accumulation (DIA terms first, remainder terms second), which is
     float-associativity-accurate rather than bitwise.
 
     The padded buffers are per-matrix mutable scratch: products on the
@@ -146,7 +149,7 @@ class DiaView:
     def _add_remainder(self, x: FloatArray, out: FloatArray) -> None:
         if self.rem_ell is not None:
             out += _einsum(
-                "ij,ij->i", self.rem_ell.data, x.take(self.rem_ell.gather_ids)
+                "km,km->m", self.rem_ell.data, x.take(self.rem_ell.gather_ids)
             )
         elif self.rem_out is not None:
             np.multiply(self.rem_data, x[self.rem_in], out=self.rem_buf)
@@ -242,12 +245,21 @@ def _build_dia(
 class EllBucket(NamedTuple):
     """One padded block of an ELL view: rows of one row-length range.
 
-    ``gather_ids`` and ``data`` are ``(m, width)`` arrays, every row
-    padded to the block's widest row: padding slots gather index 0
-    against a stored value of 0.0, so a product over the padded arrays
-    equals the exact CSR product.  ``rows`` lists the block's output ids
-    in ascending order, or is ``None`` when the block holds every row in
-    order.
+    ``gather_ids`` and ``data`` are slot-major ``(width, m)`` arrays:
+    column ``j`` holds row ``j``'s entries in stored order, padded to the
+    block's widest row, so slot ``k`` of every row is one contiguous
+    line.  Padding slots gather index 0 against a stored value of 0.0,
+    so a product over the padded arrays equals the exact CSR product.
+    ``rows`` lists the block's output ids in ascending order, or is
+    ``None`` when the block holds every row in order.
+
+    ``einsum("km,km->m")`` over this layout reduces along the strided
+    slot axis, which numpy evaluates as a plain accumulation from 0.0 in
+    slot order: the order in which the reference backend's ``bincount``
+    adds the same entries, so the products are its bytes.  With a single
+    column the slot axis turns contiguous and numpy sums it pairwise
+    instead, so a bucket of one row stores it twice, under row ids
+    ``[r, r]`` (both copies write the same value).
     """
 
     rows: Optional[IndexArray]
@@ -259,29 +271,46 @@ def _ell_block(
     counts: np.ndarray, gather_ids: IndexArray, values: FloatArray,
     rows: Optional[IndexArray] = None,
 ) -> EllBucket:
-    """Pad ``counts``-sized groups (entries in group order) to one width."""
+    """Pad ``counts``-sized groups (entries in group order) to one width.
+
+    The block is slot-major, ``(width, m)``; a lone group is stored twice
+    under explicit row ids (see :class:`EllBucket`).  HYB remainders
+    never hit that case: they span every row of a matrix of at least
+    ``_ELL_MIN_NNZ`` entries.
+    """
+    if len(counts) == 1:
+        counts = np.repeat(counts, 2)
+        gather_ids = np.tile(gather_ids, 2)
+        values = np.tile(values, 2)
+        rows = np.zeros(2, dtype=np.int64) if rows is None else np.repeat(rows, 2)
     width = int(counts.max(initial=0))
-    idx = np.zeros((len(counts), width), dtype=np.int64)
-    dat = np.zeros((len(counts), width))
-    valid = np.arange(width) < counts[:, None]
-    idx[valid] = gather_ids
-    dat[valid] = values
+    idx = np.zeros((width, len(counts)), dtype=np.int64)
+    dat = np.zeros((width, len(counts)))
+    # Fill through the transposed views, which visit entries in group
+    # order; a mask laid out like the arrays fills faster than a (m, width)
+    # one.
+    valid = (np.arange(width)[:, None] < counts).T
+    idx.T[valid] = gather_ids
+    dat.T[valid] = values
     return EllBucket(rows, idx, dat)
 
 
 class EllView:
     """Row-length-bucketed ELLPACK view of a CSR matrix (cached, immutable).
 
-    A product is one 2-D gather and one ``einsum`` row-dot per bucket, with
-    no per-segment reduction machinery.  Rows that pad into one block
-    (within ``_ELL_MAX_PAD`` of the stored entries, the near-uniform rows
-    of FEM and stencil matrices) form a single bucket written straight
-    into ``out``.  Skewed matrices — an extended FSAI factor's few long
-    rows among thousands of 5-entry ones, or a graph's hubs — get a short
-    list of buckets over ascending row-length ranges, each padded only to
-    its own widest row and scattered into ``out`` by its row ids.  The
-    buckets cover every row exactly once, empty rows included, so no
-    output needs a separate zero fill.
+    A product is one 2-D gather and one slot-major ``einsum`` contraction
+    per bucket (the DIA kernel's shape), with no per-segment reduction
+    machinery.  Rows that pad into one block (within ``_ELL_MAX_PAD`` of
+    the stored entries, the near-uniform rows of FEM and stencil
+    matrices) form a single bucket written straight into ``out``.  Skewed
+    matrices — an extended FSAI factor's few long rows among thousands of
+    5-entry ones, or a graph's hubs — get a short list of buckets over
+    ascending row-length ranges, each padded only to its own widest row
+    and scattered into ``out`` by its row ids.  The buckets cover every
+    row exactly once, empty rows included, so no output needs a separate
+    zero fill.  Every row sums its entries in stored order from 0.0, so
+    the products equal the reference backend's byte for byte (see
+    :class:`EllBucket`).
     """
 
     __slots__ = ("buckets",)
@@ -293,9 +322,9 @@ class EllView:
         """``out = A @ x`` over the padded buckets."""
         for rows, ids, data in self.buckets:
             if rows is None:
-                _einsum("ij,ij->i", data, x.take(ids), out=out)
+                _einsum("km,km->m", data, x.take(ids), out=out)
             else:
-                out[rows] = _einsum("ij,ij->i", data, x.take(ids))
+                out[rows] = _einsum("km,km->m", data, x.take(ids))
         return out
 
     def apply_multi(self, x: FloatArray, out: FloatArray) -> FloatArray:
@@ -388,6 +417,14 @@ class CSRMatrix:
         self._dia = _UNSET  # lazy diagonal view (None = not a stencil)
         self._dia_t = _UNSET  # lazy diagonal view of A.T
         self._fingerprint: Optional[str] = None  # lazy content hash
+
+    # pickle and copy.deepcopy carry only the CSR arrays; the lazy views
+    # and the fingerprint are rebuilt on demand on the other side.
+    def __getstate__(self) -> tuple:
+        return (self.n_rows, self.n_cols, self.indptr, self.indices, self.data)
+
+    def __setstate__(self, state: tuple) -> None:
+        CSRMatrix.__init__(self, *state, _validated=True)
 
     # ------------------------------------------------------------------
     # Structure

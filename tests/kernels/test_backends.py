@@ -11,7 +11,9 @@ rows with empty ones among them, and a multi-bucket view shaped like an
 extended FSAI factor (mostly 5-entry rows, a few long ones, empty
 columns).  A structure probe asserts each case really takes the path it
 was designed for, so a gate-constant tweak cannot silently turn the zoo
-into copies of the same test.
+into copies of the same test.  Wherever the numpy backend runs an ELL
+view, its products are held to more than 1e-13: they must be the
+reference backend's bytes.
 """
 
 import numpy as np
@@ -19,7 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collection.generators.fd import poisson2d
+from repro.arch.address import ArrayPlacement
+from repro.collection.generators.fd import poisson2d, poisson3d
+from repro.fsai.extended import setup_fsai, setup_fsaie_full
 from repro.fsai.frobenius import compute_g
 from repro.fsai.patterns import fsai_initial_pattern
 from repro.fsai.precond import FSAIApplication
@@ -27,6 +31,7 @@ from repro.kernels import available_backends, get_backend, use_backend
 from repro.solvers.cg import pcg
 from repro.sparse.construct import csr_from_dense
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.ordering import permute_symmetric, reverse_cuthill_mckee
 
 BACKENDS = available_backends()
 
@@ -182,14 +187,14 @@ def test_zoo_exercises_every_format():
     ell = by_name["ell_uniform"]
     assert ell.dia_view() is None
     (block,) = ell.ell_view().buckets
-    assert block.rows is None  # one (n, width) block, written in place
+    assert block.rows is None  # one (width, n) block, written in place
     width = int(np.diff(ell.indptr).max())
-    ids = np.zeros((ell.n_rows, width), dtype=np.int64)
-    data = np.zeros((ell.n_rows, width))
+    ids = np.zeros((width, ell.n_rows), dtype=np.int64)
+    data = np.zeros((width, ell.n_rows))
     for i in range(ell.n_rows):
         cols, vals = ell.row(i)
-        ids[i, :len(cols)] = cols
-        data[i, :len(vals)] = vals
+        ids[:len(cols), i] = cols
+        data[:len(vals), i] = vals
     assert np.array_equal(block.gather_ids, ids)
     assert np.array_equal(block.data, data)
     skewed = by_name["reduceat_skewed"]
@@ -206,12 +211,16 @@ def test_zoo_exercises_every_format():
 
 
 def _assert_buckets_cover(view, lengths):
-    """Several buckets, every row in exactly one, each within the pad bound."""
+    """Several buckets, every row in exactly one, each within the pad bound.
+
+    A bucket holding a single row stores it twice (see ``EllBucket``), so
+    coverage counts each bucket's distinct rows.
+    """
     assert len(view.buckets) > 1
-    rows = np.concatenate([b.rows for b in view.buckets])
+    rows = np.concatenate([np.unique(b.rows) for b in view.buckets])
     assert np.array_equal(np.sort(rows), np.arange(len(lengths)))
     for b in view.buckets:
-        assert np.array_equal(np.count_nonzero(b.data, axis=1), lengths[b.rows])
+        assert np.array_equal(np.count_nonzero(b.data, axis=0), lengths[b.rows])
         assert b.data.size <= 1.5 * lengths[b.rows].sum()
 
 
@@ -300,6 +309,64 @@ def test_fsai_apply_matches_dense(backend_name, case):
 
 
 # ----------------------------------------------------------------------
+# ELL products are the reference backend's bytes
+# ----------------------------------------------------------------------
+
+#: ``(product, case)`` pairs whose numpy view is ELL in that direction.
+ELL_PRODUCTS = [
+    (product, name, a)
+    for product, dia in (("spmv", "dia_view"), ("spmv_t", "dia_t_view"))
+    for name, a in ZOO
+    if getattr(a, dia)() is None
+]
+ELL_TRI_ZOO = [
+    (name, g) for name, g in TRI_ZOO
+    if g.dia_view() is None and g.dia_t_view() is None
+]
+
+
+def test_zoo_has_lone_row_buckets():
+    """The byte tests below reach every kind of single-row bucket."""
+    by_name = dict(ZOO)
+
+    def lone(view):
+        return any(
+            (b.data.shape[1] if b.rows is None else len(np.unique(b.rows))) == 1
+            for b in view.buckets
+        )
+
+    assert lone(by_name["single_row"].ell_view())  # a one-row matrix
+    assert lone(by_name["single_col"].ell_t_view())  # its transpose
+    assert lone(by_name["reduceat_skewed"].ell_view())  # the 100-entry row
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize(
+    "product, name, a", ELL_PRODUCTS,
+    ids=[f"{product}-{name}" for product, name, _ in ELL_PRODUCTS],
+)
+def test_ell_products_are_the_oracles_bytes(backend_name, product, name, a):
+    """Slot-major ELL sums each row in stored order from 0.0, as bincount does."""
+    n_in = a.n_cols if product == "spmv" else a.n_rows
+    x = np.random.default_rng(12).standard_normal(n_in)
+    got = getattr(get_backend(backend_name), product)(a, x)
+    expected = getattr(get_backend("reference"), product)(a, x)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("case", ELL_TRI_ZOO, ids=[name for name, _ in ELL_TRI_ZOO])
+def test_ell_fsai_apply_is_the_oracles_bytes(backend_name, case):
+    _, g = case
+    r = np.random.default_rng(13).standard_normal(g.n_rows)
+    tmp = np.empty(g.n_rows)
+    out = np.empty(g.n_rows)
+    get_backend(backend_name).fsai_apply_op(g, tmp)(r, out)
+    expected = get_backend("reference").fsai_apply(g, r)
+    assert out.tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
 # Hypothesis: random small CSR, all backends vs dense
 # ----------------------------------------------------------------------
 
@@ -318,6 +385,10 @@ def test_random_csr_agrees_across_backends(n_rows, n_cols, density, seed):
         backend = get_backend(name)
         _assert_close(backend.spmv(a, x), d @ x)
         _assert_close(backend.spmv_t(a, xt), d.T @ xt)
+    # Every matrix here is under the 256-nnz DIA gate, so numpy runs ELL.
+    numpy_backend, ref = get_backend("numpy"), get_backend("reference")
+    assert numpy_backend.spmv(a, x).tobytes() == ref.spmv(a, x).tobytes()
+    assert numpy_backend.spmv_t(a, xt).tobytes() == ref.spmv_t(a, xt).tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -356,3 +427,30 @@ def test_pcg_unpreconditioned_matches_across_backends():
     for name, res in results.items():
         assert res.iterations == baseline.iterations, name
         np.testing.assert_allclose(res.x, baseline.x, rtol=1e-10, atol=1e-12)
+
+
+def test_pcg_on_ell_views_is_the_oracles_bits():
+    """numpy and reference PCG agree bit for bit when every view is ELL."""
+    a = poisson3d(8)
+    a = permute_symmetric(a, reverse_cuthill_mckee(a))
+    b = np.random.default_rng(23).standard_normal(a.n_rows)
+    factors = [
+        setup_fsai(a).g,
+        setup_fsaie_full(a, ArrayPlacement.aligned(64)).g,
+    ]
+    assert a.dia_view() is None
+    for g in factors:
+        assert g.dia_view() is None and g.dia_t_view() is None
+    assert len(factors[1].ell_view().buckets) > 1
+    for g in factors:
+        results = {}
+        for name in ("numpy", "reference"):
+            with use_backend(name):
+                results[name] = pcg(a, b, preconditioner=FSAIApplication(g))
+        fast, oracle = results["numpy"], results["reference"]
+        assert fast.converged
+        assert fast.iterations == oracle.iterations
+        assert fast.x.tobytes() == oracle.x.tobytes()
+        assert fast.history.norms == oracle.history.norms
+        assert fast.true_relative_residual == oracle.true_relative_residual
+

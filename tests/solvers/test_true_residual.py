@@ -10,8 +10,10 @@ only trustworthy together with ``true_relative_residual``.
 import numpy as np
 import pytest
 
+from repro import trace
+from repro.arch.address import ArrayPlacement
 from repro.collection.generators.fd import poisson2d
-from repro.fsai.extended import setup_fsai
+from repro.fsai.extended import setup_fsai, setup_fsaie_full, setup_fsaie_sp
 from repro.solvers.cg import DEFAULT_RTOL, pcg, pcg_multi
 from repro.solvers.convergence import SolveResult
 from repro.sparse.construct import csr_from_dense
@@ -55,6 +57,39 @@ def test_pcg_multi_rows_report_pcg_true_residuals():
     for j in range(3):
         single = pcg(a, block[j], preconditioner=app)
         assert multi.columns[j].true_relative_residual == single.true_relative_residual
+
+
+SETUPS = {
+    "fsai": setup_fsai,
+    "fsaie_sp": lambda a: setup_fsaie_sp(a, ArrayPlacement.aligned(64)),
+    "fsaie_full": lambda a: setup_fsaie_full(a, ArrayPlacement.aligned(64)),
+}
+
+
+@pytest.mark.parametrize("method", sorted(SETUPS))
+def test_converged_solve_far_from_the_truth_is_counted(method):
+    """``cg.true_residual_gap``: converged, true residual above 10x the stop."""
+    a = _scaled_laplacian(20, 12)
+    app = SETUPS[method](a).application
+    b = np.random.default_rng(4).standard_normal(20)
+    with trace.collecting() as collector:
+        res = pcg(a, b, preconditioner=app)
+        multi = pcg_multi(a, np.stack([b, b]), preconditioner=app)
+    assert res.converged and res.true_relative_residual > 10 * DEFAULT_RTOL
+    assert all(c.converged for c in multi.columns)
+    assert collector.total_counters()["cg.true_residual_gap"] == 3
+
+
+def test_well_scaled_solves_record_no_gap():
+    a = poisson2d(20)
+    app = setup_fsai(a).application
+    b = np.random.default_rng(5).standard_normal((2, a.n_rows))
+    with trace.collecting() as collector:
+        assert pcg(a, b[0], preconditioner=app).converged
+        assert pcg_multi(a, b, preconditioner=app).converged
+    counters = collector.total_counters()
+    assert counters["cg.iterations"] > 0
+    assert "cg.true_residual_gap" not in counters
 
 
 def test_solve_that_starts_converged_needs_no_product():

@@ -1,11 +1,16 @@
 """Unit tests for repro.sparse.csr."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.collection.generators.fd import poisson2d, poisson3d
 from repro.errors import ShapeError
 from repro.sparse.construct import csr_from_dense, csr_identity
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.ordering import permute_symmetric, reverse_cuthill_mckee
 from repro.sparse.pattern import Pattern
 
 
@@ -178,3 +183,39 @@ class TestAlgebra:
     def test_identity(self):
         i = csr_identity(3, scale=2.0)
         assert np.allclose(i.to_dense(), 2 * np.eye(3))
+
+
+class TestCopies:
+    """pickle and deepcopy carry the CSR arrays, never the lazy views."""
+
+    @staticmethod
+    def _operators():
+        rcm = poisson3d(6)
+        return [
+            poisson2d(20),  # DIA views
+            permute_symmetric(rcm, reverse_cuthill_mckee(rcm)),  # ELL views
+        ]
+
+    @pytest.mark.parametrize("primed", [False, True], ids=["cold", "primed"])
+    @pytest.mark.parametrize("how", ["pickle", "deepcopy"])
+    def test_copy_gives_the_same_products(self, how, primed):
+        for m in self._operators():
+            x = np.random.default_rng(3).standard_normal(m.n_cols)
+            if primed:
+                m.matvec(x)
+                m.rmatvec(x)
+                m.fingerprint()
+            c = (pickle.loads(pickle.dumps(m)) if how == "pickle"
+                 else copy.deepcopy(m))
+            assert c.matvec(x).tobytes() == m.matvec(x).tobytes()
+            assert c.rmatvec(x).tobytes() == m.rmatvec(x).tobytes()
+            assert c.fingerprint() == m.fingerprint()
+
+    def test_pickle_carries_no_lazy_views(self):
+        for m in self._operators():
+            m.matvec(np.ones(m.n_cols))
+            m.rmatvec(np.ones(m.n_rows))
+            arrays = m.indptr.nbytes + m.indices.nbytes + m.data.nbytes
+            assert len(pickle.dumps(m)) < arrays + 1024
+            c = pickle.loads(pickle.dumps(m))
+            assert c._ell is None and c._ell_t is None and c._row_ids is None
