@@ -9,18 +9,21 @@ and its misses are attributed to the structure that generated each access
 The public layers:
 
 * :mod:`~repro.cachesim.trace` — SpMV / FSAI-application trace generation;
-* :func:`~repro.cachesim.cache.replay` — the L1 hit mask of one trace;
+* :func:`~repro.cachesim.cache.replay` — the L1 hit mask of one trace
+  (the vectorized window scan :func:`~repro.cachesim.engine.lru_hits`,
+  with the per-access ``OrderedDict`` walk as its oracle);
 * :mod:`~repro.cachesim.spmv_sim` — the measurement entry points used by
   the Figure 3 experiment and the roofline cost model;
 * :mod:`~repro.cachesim.stackdist` — stack-distance (miss-ratio curve)
-  profiles.
+  profiles, on the engine's exact merge count
+  (:func:`~repro.cachesim.engine.stack_distances_vectorized`).
 """
 
 from repro.cachesim.cache import CACHE_BACKENDS, replay
 from repro.cachesim.engine import (
     count_leq_before,
+    lru_hits,
     previous_occurrence,
-    set_stack_distances,
     stack_distances_vectorized,
 )
 from repro.cachesim.trace import (
@@ -46,8 +49,8 @@ __all__ = [
     "CACHE_BACKENDS",
     "replay",
     "count_leq_before",
+    "lru_hits",
     "previous_occurrence",
-    "set_stack_distances",
     "stack_distances_vectorized",
     "REGION_X",
     "REGION_MATRIX",

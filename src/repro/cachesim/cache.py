@@ -8,10 +8,11 @@ empty — all the Figure 3 metric and the roofline cost model need.
 
 Two backends return bit-identical masks:
 
-* ``"vector"`` (default) — per-set stack distances from
-  :func:`repro.cachesim.engine.set_stack_distances`; an access hits iff
-  its distance is ``< ways`` (the LRU stack property).  O(log n)
-  vectorized passes instead of O(n) dict operations.
+* ``"vector"`` (default) — :func:`repro.cachesim.engine.lru_hits`: an
+  access hits iff fewer than ``ways`` distinct lines of its set were
+  touched since its line's previous access (the LRU stack property),
+  decided by a bounded forward scan of every window at once — O(N·ways)
+  work in O(log N) vectorized passes instead of O(N) dict operations.
 * ``"reference"`` — the per-access ``OrderedDict`` walk (O(1) LRU updates,
   the fastest pure-Python structure for this pattern).  Kept as the
   oracle the property tests compare the engine against, and used
@@ -25,7 +26,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.arch.machine import CacheLevelSpec
-from repro.cachesim.engine import set_stack_distances
+from repro.cachesim.engine import lru_hits
 from repro.errors import ConfigurationError
 
 __all__ = ["CACHE_BACKENDS", "replay"]
@@ -33,8 +34,8 @@ __all__ = ["CACHE_BACKENDS", "replay"]
 #: Recognised ``backend=`` values of :func:`replay`.
 CACHE_BACKENDS = ("vector", "reference")
 
-#: Below this trace length the per-access loop beats the sort-based engine
-#: (a handful of argsorts cost more than a few dozen dict operations).
+#: Shorter traces go to the per-access loop: a few dozen dict operations
+#: cost less than the vector engine's fixed sorts and scan passes.
 _VECTOR_MIN_TRACE = 64
 
 
@@ -55,8 +56,7 @@ def replay(
     lines = np.asarray(lines, dtype=np.int64)
     if backend == "reference" or len(lines) < _VECTOR_MIN_TRACE:
         return _replay_reference(lines, spec.n_sets, spec.associativity)
-    d, _ = set_stack_distances(lines, spec.n_sets)
-    return (d >= 0) & (d < spec.associativity)
+    return lru_hits(lines, spec.n_sets, spec.associativity)
 
 
 def _replay_reference(lines: np.ndarray, n_sets: int, ways: int) -> np.ndarray:

@@ -1,49 +1,60 @@
-"""Vectorized per-set LRU stack distances.
+"""Vectorized LRU hit masks and stack distances.
 
 The per-access ``OrderedDict`` walk in :mod:`repro.cachesim.cache` is exact
-but pays interpreter cost for every access.  This module computes the same
-hit mask *offline* with sort/group-based NumPy primitives, exploiting the
+but pays interpreter cost for every access.  This module answers the same
+questions offline, with NumPy passes over the whole trace, from the
 classical stack property of LRU (Mattson et al., 1970):
 
-    an access to a true-LRU set-associative cache **hits iff its per-set
-    stack distance is < ways**,
+    an access to a true-LRU cache **hits iff fewer than ``ways`` distinct
+    lines of its set were touched since the previous access to the same
+    line** (first touches miss).
 
-where the per-set stack distance is the number of *distinct* lines mapped to
-the same set that were touched since the previous access to the same line
-(infinite for first touches).
+Both engines rest on one identity.  Let ``p = prev[t]`` be the previous
+occurrence of access ``t``'s line.  The distinct lines touched in the
+window ``(p, t)`` correspond one to one with the positions ``u`` of the
+window that have ``prev[u] <= p``: the first touch of each line inside the
+window.
 
-The pipeline is allocation-bound rather than interpreter-bound:
+* :func:`lru_hits` — the hit mask of one cold set-associative replay.  It
+  only needs to know whether a window holds ``ways`` distinct lines, so it
+  scans every window forward in doubling blocks and stops at the
+  ``ways``-th distinct line: O(N·ways) work (:func:`_window_hits`).
+  :func:`repro.cachesim.cache.replay` is its caller.
+* :func:`stack_distances_vectorized` — the exact fully-associative stack
+  distance of every access, which the miss-ratio profiler
+  (:mod:`repro.cachesim.stackdist`) needs at every capacity at once: a
+  vectorized bottom-up merge count (:func:`count_leq_before`),
+  O(N log² N) work.
 
-1. group the trace by set with one stable argsort (``line mod n_sets``);
-2. find each access's previous occurrence with a second stable argsort;
-3. count, for every access ``t`` with previous occurrence ``p``, the
-   "first-in-window" accesses in ``(p, t)`` — accesses ``u`` with
-   ``prev[u] <= p`` — via a vectorized bottom-up merge count
-   (:func:`count_leq_before`); the count minus ``p + 1`` is the distance.
-
-Step 3 works on the *whole* set-grouped trace at once: because every access
-``u`` satisfies ``prev[u] < u``, all accesses of earlier set groups are
-counted by both terms of the difference and cancel exactly (see
-``docs/simulation_model.md`` §3a for the algebra).
-
-Everything here is a pure function of the trace:
-:func:`repro.cachesim.cache.replay` turns :func:`set_stack_distances` into
-the hit mask of one cold-cache replay, and
-:mod:`repro.cachesim.stackdist` profiles :func:`stack_distances_vectorized`.
+Both drop immediate repeats first.  An access repeating its predecessor has
+distance 0 (a hit) and is a non-first touch in every window containing it,
+so it counts toward no one's distinct lines; SpMV traces are 50–75 %
+immediate repeats (consecutive nonzeros share matrix, index and vector
+lines).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "count_leq_before",
     "previous_occurrence",
     "stack_distances_vectorized",
-    "set_stack_distances",
+    "lru_hits",
 ]
+
+#: Most elements one ``(accesses × block)`` scan array may hold: each pass
+#: processes its active accesses in chunks of ``_SCAN_BUDGET // block``
+#: rows, and blocks stop doubling at this width, so the scan's memory does
+#: not grow with ``ways`` or with the trace.
+_SCAN_BUDGET = 1 << 18
+
+#: Multiplying a word of eight 0/1 bytes by this sums them into its top
+#: byte (a SWAR byte count).
+_BYTE_SUM = np.uint64(0x0101010101010101)
+_TOP_BYTE = np.uint64(56)
 
 
 def count_leq_before(values: np.ndarray) -> np.ndarray:
@@ -108,11 +119,16 @@ def previous_occurrence(lines: np.ndarray) -> np.ndarray:
         return prev
     order = np.argsort(lines, kind="stable")
     grouped = lines[order]
-    same = grouped[1:] == grouped[:-1]
-    prev_in_order = np.full(n, -1, dtype=np.int64)
-    prev_in_order[1:][same] = order[:-1][same]
-    prev[order] = prev_in_order
+    prev[order[1:]] = np.where(grouped[1:] == grouped[:-1], order[:-1], -1)
     return prev
+
+
+def _first_of_runs(lines: np.ndarray) -> np.ndarray:
+    """Positions whose line differs from the previous position's."""
+    keep = np.empty(len(lines), dtype=bool)
+    keep[:1] = True
+    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+    return np.flatnonzero(keep)
 
 
 def _distances_from_prev(prev: np.ndarray) -> np.ndarray:
@@ -128,54 +144,118 @@ def _distances_from_prev(prev: np.ndarray) -> np.ndarray:
     return np.where(prev >= 0, counted - prev - 1, np.int64(-1))
 
 
-def _collapsed_distances(grouped: np.ndarray) -> np.ndarray:
-    """Stack distances of a (set-grouped) trace, collapsing immediate repeats.
-
-    An access that repeats its predecessor (within the group) has distance
-    exactly 0, and — being a *non*-first touch inside any window that
-    contains it — is never counted towards anyone else's distinct-line
-    total.  Dropping such accesses before the O(n log² n) merge count
-    therefore changes nothing, while real SpMV traces are 50–75 %
-    immediate repeats (spatial locality: consecutive nonzeros share
-    matrix/index/vector lines).
-    """
-    n = len(grouped)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    keep = np.empty(n, dtype=bool)
-    keep[0] = True
-    np.not_equal(grouped[1:], grouped[:-1], out=keep[1:])
-    if keep.all():
-        return _distances_from_prev(previous_occurrence(grouped))
-    sd = np.zeros(n, dtype=np.int64)
-    compressed = grouped[keep]
-    sd[keep] = _distances_from_prev(previous_occurrence(compressed))
-    return sd
-
-
 def stack_distances_vectorized(lines: np.ndarray) -> np.ndarray:
-    """Fully-associative LRU stack distance of every access (``-1`` = ∞)."""
-    lines = np.asarray(lines, dtype=np.int64)
-    return _collapsed_distances(lines)
+    """Fully-associative LRU stack distance of every access (``-1`` = ∞).
 
-
-def set_stack_distances(
-    lines: np.ndarray, n_sets: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-set stack distance of every access of a set-indexed cache.
-
-    Returns ``(distances, sets)`` aligned with the input trace; the set of
-    access ``k`` is ``lines[k] mod n_sets``.  With the trace stably grouped
-    by set, the fully-associative formula applies unchanged: accesses of
-    other groups cancel between the window count and the ``p + 1``
-    correction because ``prev[u] < u`` everywhere.
+    Immediate repeats get distance 0 and are dropped before the merge
+    count, which then runs on the remaining accesses only.
     """
     lines = np.asarray(lines, dtype=np.int64)
-    sets = lines % n_sets
-    if n_sets == 1:
-        return _collapsed_distances(lines), sets
-    order = np.argsort(sets, kind="stable")
-    sd_grouped = _collapsed_distances(lines[order])
-    distances = np.empty(len(lines), dtype=np.int64)
-    distances[order] = sd_grouped
-    return distances, sets
+    kept = _first_of_runs(lines)
+    distances = np.zeros(len(lines), dtype=np.int64)
+    distances[kept] = _distances_from_prev(previous_occurrence(lines[kept]))
+    return distances
+
+
+def lru_hits(lines: np.ndarray, n_sets: int, ways: int) -> np.ndarray:
+    """Hit mask of ``lines`` through a cold true-LRU ``n_sets × ways`` cache.
+
+    The set of access ``k`` is ``lines[k] mod n_sets``.  One stable radix
+    sort on a ``np.min_scalar_type(n_sets - 1)`` key (8 or 16 bits for any
+    real cache) groups the trace by set, each set's accesses in program
+    order, so every window lies inside one group.  Immediate repeats are
+    hits and are dropped; :func:`_window_hits` decides the rest.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    order = np.argsort(
+        (lines % n_sets).astype(np.min_scalar_type(n_sets - 1)), kind="stable"
+    )
+    grouped = lines[order]
+    kept = _first_of_runs(grouped)
+    missed = kept[~_window_hits(previous_occurrence(grouped[kept]), ways)]
+    hits = np.ones(len(lines), dtype=bool)
+    hits[order[missed]] = False
+    return hits
+
+
+def _window_hits(prev: np.ndarray, ways: int) -> np.ndarray:
+    """Hit mask of a trace without immediate repeats, from ``prev`` alone.
+
+    ``prev`` is :func:`previous_occurrence` of a set-grouped trace, so a
+    window never leaves its set's group.  Access ``t`` with ``p = prev[t]``
+    hits iff fewer than ``ways`` positions ``u ∈ (p, t)`` have
+    ``prev[u] <= p``.  A window shorter than ``ways`` is a hit outright.
+    Every other window is scanned forward from ``p + 1``, all windows at
+    once, in blocks: the first block is ``ways`` wide and each pass doubles
+    it (up to ``_SCAN_BUDGET``), so a trace takes O(log N) passes.  A scan
+    stops as a miss once it has counted ``ways`` first touches, or as a hit
+    at its window's end.
+
+    Work is O(N·ways).  Consider the scans that reach one position ``x``,
+    ordered by start, and the earliest one, over window ``(p₀, t₀)``.
+    Every later scan starts at ``p_j ∈ (p₀, x)``, an access to its own
+    line; the windows of one line are disjoint, so these lines differ from
+    each other and from ``t₀``'s line, and each appears in ``(p₀, x)``.
+    The earliest scan reached ``x``, so ``(p₀, x)`` holds fewer than
+    ``ways`` distinct lines: at most ``ways`` scans reach any position.
+    Doubling blocks overshoot a scan's stop by less than what the scan had
+    read before its last block, plus ``ways``, which keeps the bound.
+    """
+    m = len(prev)
+    hits = prev >= 0
+    active = np.flatnonzero(hits & (np.arange(m) - prev > ways))
+    if not active.size:
+        return hits
+    # Row ``s`` of the strided view below is the block starting at ``s``:
+    # one contiguous copy per block, no index array.  The zero tail lets a
+    # block run past the trace's end; like every position past a window's
+    # end, it is masked out.
+    padded = np.zeros(m + min(m, _SCAN_BUDGET), dtype=np.int64)
+    padded[:m] = prev
+    thr = prev[active]
+    start = thr + 1
+    count = np.zeros(len(active), dtype=np.int64)
+    width = min(ways, _SCAN_BUDGET)
+    while active.size:
+        view = as_strided(
+            padded, (m, width), (padded.itemsize,) * 2, writeable=False
+        )
+        rows = max(1, _SCAN_BUDGET // width)
+        for lo in range(0, len(active), rows):
+            part = slice(lo, lo + rows)
+            count[part] += _first_touches(
+                view, start[part], active[part], thr[part]
+            )
+        start += width
+        miss = count >= ways
+        hits[active[miss]] = False
+        going = ~miss & (start < active)
+        active, thr = active[going], thr[going]
+        start, count = start[going], count[going]
+        # An active window is longer than everything scanned so far, so
+        # a block never needs more than ``m`` positions.
+        width = min(2 * width, _SCAN_BUDGET, m)
+    return hits
+
+
+def _first_touches(
+    view: np.ndarray, start: np.ndarray, stop: np.ndarray, thr: np.ndarray
+) -> np.ndarray:
+    """``#{u ∈ [start, min(start + width, stop)) : prev[u] <= thr}`` per row.
+
+    ``view`` is the strided window view of the padded ``prev``, one
+    ``width``-position block per start; ``thr`` is each row's ``p`` and
+    ``stop`` its ``t``.  The flags are padded to whole 8-byte words, and
+    each word's 0/1 bytes are added by one SWAR multiply: a row sum over
+    eight times fewer elements, which matters for the short rows of the
+    first passes.
+    """
+    width = view.shape[1]
+    flags = np.zeros((len(start), -(-width // 8) * 8), dtype=bool)
+    below = flags[:, :width]
+    np.less_equal(view[start], thr[:, None], out=below)
+    limit = stop - start
+    if (limit < width).any():  # blocks running past their window's end
+        below &= np.arange(width) < limit[:, None]
+    per_word = (flags.view(np.uint64) * _BYTE_SUM) >> _TOP_BYTE
+    return per_word.sum(axis=1, dtype=np.int64)

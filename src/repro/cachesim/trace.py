@@ -10,10 +10,14 @@ attribution stays possible:
 * ``REGION_Y``       — the output vector.
 
 Streaming structures (matrix arrays, ``y``) are perfectly sequential, so only
-their *line-boundary crossings* are emitted: the skipped accesses are
-guaranteed hits on the most-recently-used line of their set and change
-neither miss counts nor any eviction decision that matters to ``x``.  This
-keeps trace length ~``nnz`` instead of ~``3·nnz``.
+their *line-boundary crossings* are emitted, which keeps the trace about
+0.6x as long as emitting every stream access (0.5x at 256 B lines).  The
+skipped accesses are hits, but each would move its stream line back to
+most-recently-used; without them the stream line ages and LRU evicts it
+before ``x`` lines the full trace would evict instead, so ``x`` misses are
+*undercounted*: on the quick slice at 1/8-scale L1s, by up to 10% per trace
+at 64 B lines and up to 2x (case 28) at 256 B lines.
+``docs/simulation_model.md`` §2 has the table.
 """
 
 from __future__ import annotations
