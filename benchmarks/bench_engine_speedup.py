@@ -154,7 +154,7 @@ MIN_SERVE_SPEEDUP = 3.0
 
 #: Fixed iteration budget for the serving component.  Deeper than
 #: ``PCG_ITERATIONS`` on purpose: the service pays a fixed per-request
-#: cost (admission, asyncio futures, metrics) of tens of microseconds,
+#: cost (admission, futures, metrics) of tens of microseconds,
 #: and a deeper solve keeps that a small fraction of the work — the
 #: same steady-state-traffic claim the bench makes everywhere else.
 SERVE_ITERATIONS = 100

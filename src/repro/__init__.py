@@ -5,7 +5,7 @@ The package is organised as a set of substrates plus the paper's core
 contribution:
 
 ``repro.sparse``
-    From-scratch sparse linear algebra (COO/CSR/CSC, patterns, SpMV).
+    From-scratch sparse linear algebra (COO/CSR, patterns, SpMV).
 ``repro.arch``
     Machine models (Skylake / POWER9 / A64FX) and the virtual-address /
     cache-line alignment model of §4.1.

@@ -15,8 +15,7 @@ Two backends return bit-identical masks:
   work in O(log N) vectorized passes instead of O(N) dict operations.
 * ``"reference"`` — the per-access ``OrderedDict`` walk (O(1) LRU updates,
   the fastest pure-Python structure for this pattern).  Kept as the
-  oracle the property tests compare the engine against, and used
-  automatically for tiny traces where vectorization overhead dominates.
+  oracle the property tests compare the engine against.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ __all__ = ["CACHE_BACKENDS", "replay"]
 #: Recognised ``backend=`` values of :func:`replay`.
 CACHE_BACKENDS = ("vector", "reference")
 
-#: Shorter traces go to the per-access loop: a few dozen dict operations
-#: cost less than the vector engine's fixed sorts and scan passes.
-_VECTOR_MIN_TRACE = 64
-
 
 def replay(
     lines: np.ndarray, spec: CacheLevelSpec, *, backend: str = "vector"
@@ -54,7 +49,7 @@ def replay(
             f"unknown cache backend {backend!r}; expected one of {CACHE_BACKENDS}"
         )
     lines = np.asarray(lines, dtype=np.int64)
-    if backend == "reference" or len(lines) < _VECTOR_MIN_TRACE:
+    if backend == "reference":
         return _replay_reference(lines, spec.n_sets, spec.associativity)
     return lru_hits(lines, spec.n_sets, spec.associativity)
 

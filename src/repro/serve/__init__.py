@@ -1,8 +1,9 @@
-"""``repro.serve`` — solver-as-a-service: async micro-batching front-end.
+"""``repro.serve`` — solver-as-a-service: a micro-batching front-end.
 
 The serving layer the ROADMAP's "millions of users" north star asks for:
 a request is ``(operator fingerprint or CSR payload, rhs, tolerance)``;
-an asyncio dispatcher micro-batches same-operator requests arriving
+callers admit requests from their own threads into a bounded queue, and
+one dispatcher thread micro-batches same-operator requests arriving
 within a small time/size window into one blocked ``pcg_multi`` solve,
 shares the :class:`repro.fsai.cache.PreconditionerCache` across all
 requests, and applies admission control (bounded queue, typed overload

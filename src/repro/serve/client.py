@@ -1,18 +1,17 @@
 """In-process client harness: drive the service without a network.
 
-Tests, benches and the CLI need to exercise the asyncio service from
-plain synchronous code — and from *several* threads at once, to model
-concurrent users.  :class:`InProcessClient` owns a private event loop on
-a daemon thread, runs one :class:`~repro.serve.dispatcher.SolverService`
-on it, and exposes a thread-safe submit/solve surface built on
-``asyncio.run_coroutine_threadsafe``.  No sockets, no serialization —
-the harness measures the dispatcher itself.
+Tests, benches and the CLI drive the service from plain synchronous code
+— and from *several* threads at once, to model concurrent users.
+:class:`InProcessClient` owns the lifecycle of one
+:class:`~repro.serve.dispatcher.SolverService` and exposes its
+thread-safe submit/solve surface: callers admit requests from their own
+threads and the service's one dispatcher thread batches and solves them.
+No sockets, no serialization — the harness measures the dispatcher
+itself.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
 from concurrent.futures import Future
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -21,14 +20,13 @@ import numpy as np
 from repro.serve.dispatcher import SolverService
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.request import ServeResult
-from repro.solvers.cg import DEFAULT_MAX_ITERATIONS, DEFAULT_RTOL
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["InProcessClient"]
 
 
 class InProcessClient:
-    """Synchronous, thread-safe front end over a private service loop.
+    """Synchronous, thread-safe front end over one solver service.
 
     Usage::
 
@@ -49,47 +47,22 @@ class InProcessClient:
         self.service = service if service is not None else SolverService(
             **service_kwargs
         )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
+        self._started = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "InProcessClient":
-        if self._thread is not None:
-            return self
-        self._loop = asyncio.new_event_loop()
-
-        def run() -> None:
-            assert self._loop is not None
-            asyncio.set_event_loop(self._loop)
-            self._started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=run, name="repro-serve-loop", daemon=True
-        )
-        self._thread.start()
-        self._started.wait()
-        asyncio.run_coroutine_threadsafe(
-            self.service.start(), self._loop
-        ).result()
+        if not self._started:
+            self.service.start()
+            self._started = True
         return self
 
     def close(self) -> None:
-        """Drain the service, stop the loop, join the thread."""
-        if self._thread is None or self._loop is None:
-            return
-        asyncio.run_coroutine_threadsafe(
-            self.service.stop(), self._loop
-        ).result()
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._loop.close()
-        self._thread = None
-        self._loop = None
-        self._started.clear()
+        """Drain the service and stop its dispatcher thread."""
+        if self._started:
+            self.service.stop()
+            self._started = False
 
     def __enter__(self) -> "InProcessClient":
         return self.start()
@@ -103,40 +76,24 @@ class InProcessClient:
     def register(
         self, matrix: CSRMatrix, *, method: str = "fsai", **config: Any
     ) -> str:
-        """Register an operator payload; thread-safe, loop not involved."""
+        """Register an operator payload; thread-safe."""
         return self.service.register_operator(
             matrix, method=method, **config
         )
 
     def submit(
-        self,
-        operator: Union[str, CSRMatrix],
-        rhs: np.ndarray,
-        *,
-        rtol: float = DEFAULT_RTOL,
-        atol: float = 0.0,
-        max_iterations: int = DEFAULT_MAX_ITERATIONS,
-        timeout: Optional[float] = None,
+        self, operator: Union[str, CSRMatrix], rhs: np.ndarray, **kwargs: Any
     ) -> "Future[ServeResult]":
-        """Enqueue one request; returns a waitable future.
+        """Admit one request; returns a waitable future.
 
-        Admission happens on the service loop, so a rejection
-        (:class:`~repro.errors.OverloadRejectedError`) surfaces through
-        the future, not at call time.
+        Keyword arguments are :meth:`SolverService.submit`'s (``rtol``,
+        ``atol``, ``max_iterations``, ``timeout``).  A rejection
+        (:class:`~repro.errors.OverloadRejectedError`) and every other
+        request-level error surface through the future, not at call time.
         """
-        if self._loop is None:
+        if not self._started:
             raise RuntimeError("client is not started; use `with client:`")
-        return asyncio.run_coroutine_threadsafe(
-            self.service.solve(
-                operator,
-                rhs,
-                rtol=rtol,
-                atol=atol,
-                max_iterations=max_iterations,
-                timeout=timeout,
-            ),
-            self._loop,
-        )
+        return self.service.submit(operator, rhs, **kwargs)
 
     def solve(
         self,
@@ -152,38 +109,18 @@ class InProcessClient:
         requests: Iterable[Tuple[Union[str, CSRMatrix], np.ndarray]],
         **kwargs: Any,
     ) -> List[ServeResult]:
-        """Submit a whole stream concurrently, then collect in order.
+        """Submit a whole stream, then collect in order.
 
         All requests are admitted before the first result is awaited —
         this is what gives the dispatcher a window's worth of same-
-        operator requests to batch.  The stream crosses into the loop in
-        **one** hop (one scheduled coroutine admits every request), so a
-        64-request replay costs one thread round trip, not 64; the first
-        failure (e.g. an overload rejection mid-stream) propagates like
+        operator requests to batch.  The first failure in stream order
+        (e.g. an overload rejection mid-stream) propagates like
         ``future.result()`` would.
         """
-        batch = list(requests)
-        if self._loop is None:
-            raise RuntimeError("client is not started; use `with client:`")
-
-        async def admit_and_gather() -> List[ServeResult]:
-            tasks = [
-                asyncio.ensure_future(
-                    self.service.solve(operator, rhs, **kwargs)
-                )
-                for operator, rhs in batch
-            ]
-            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-            results: List[ServeResult] = []
-            for outcome in outcomes:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                results.append(outcome)
-            return results
-
-        return asyncio.run_coroutine_threadsafe(
-            admit_and_gather(), self._loop
-        ).result()
+        futures = [
+            self.submit(operator, rhs, **kwargs) for operator, rhs in requests
+        ]
+        return [future.result() for future in futures]
 
     @property
     def metrics(self) -> ServiceMetrics:

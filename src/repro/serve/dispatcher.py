@@ -1,20 +1,24 @@
-"""Async solver service: admission control, micro-batching, dispatch.
+"""Solver service: admission control, micro-batching, one dispatcher thread.
 
 The service closes the loop the ROADMAP's item 1 describes: PR 5 built
 the blocked solver (``pcg_multi``) and the preconditioner cache; this
-module plays the server.  One asyncio dispatcher task pulls admitted
-requests off a **bounded** queue and groups same-key requests (key =
-operator fingerprint + solver tolerances) inside a small time/size
-window; each group executes as a single blocked PCG solve on a dedicated
-solver thread, sharing one :class:`repro.fsai.cache.PreconditionerCache`
-entry across every request that ever names that operator.
+module plays the server.  Callers admit requests from their own threads
+into a **bounded** :class:`queue.Queue`; one dispatcher thread takes
+them off it, groups same-key requests (key = operator fingerprint +
+solver tolerances) inside a small time/size window, and runs each group
+as a single blocked PCG solve inline, sharing one
+:class:`repro.fsai.cache.PreconditionerCache` entry across every request
+that ever names that operator.  Each request's
+:class:`concurrent.futures.Future` resolves on the dispatcher thread.
 
 Contracts (see ``docs/serving.md`` for the full table):
 
 * **Admission** is ``put_nowait`` against the bounded queue — a full
   queue rejects immediately with
   :class:`~repro.errors.OverloadRejectedError` rather than buffering;
-  the service sheds load, it never deadlocks on it.
+  the service sheds load, it never deadlocks on it.  Every request-level
+  error comes back through the request's future, never raised by
+  :meth:`SolverService.submit`.
 * **Batching window**: the first request of a cycle opens a window of
   ``window_seconds``; everything arriving before it closes joins the
   cycle.  A group reaching ``max_batch`` closes the window early.  A
@@ -29,9 +33,10 @@ Contracts (see ``docs/serving.md`` for the full table):
 
 from __future__ import annotations
 
-import asyncio
+import queue
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -56,6 +61,7 @@ from repro.solvers.cg import (
 )
 from repro.solvers.convergence import SolveResult
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.validate import require_finite
 
 __all__ = ["SolverService", "BlockSolver"]
 
@@ -155,64 +161,56 @@ class SolverService:
         #: work to shards.
         self.shard_id = shard_id
         self._solver: BlockSolver = solver if solver is not None else _default_solver
-        self._queue: "Optional[asyncio.Queue[Any]]" = None
-        self._task: "Optional[asyncio.Task[None]]" = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._closing = True  # not accepting until start()
+        #: Orders admission against ``stop``: nothing is queued behind the
+        #: sentinel, so every admitted request is served.
+        self._admission = threading.Lock()
+        #: The admission queue; None while not accepting requests.
+        self._queue: "Optional[queue.Queue[Any]]" = None
+        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return self._task is not None and not self._closing
+        return self._queue is not None
 
-    async def start(self) -> "SolverService":
-        """Create the queue and spawn the dispatcher on the running loop."""
-        if self._task is not None:
-            raise ServiceClosedError("service already started")
-        self._queue = asyncio.Queue(maxsize=self.queue_capacity)
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve"
-        )
-        self._closing = False
-        self._task = asyncio.get_running_loop().create_task(
-            self._dispatch_loop()
-        )
+    def start(self) -> "SolverService":
+        """Create the queue and start the dispatcher thread."""
+        with self._admission:
+            if self._thread is not None:
+                raise ServiceClosedError("service already started")
+            self._queue = queue.Queue(maxsize=self.queue_capacity)
+            self._thread = threading.Thread(
+                target=self._dispatch_loop,
+                args=(self._queue,),
+                name="repro-serve",
+                daemon=True,
+            )
+            self._thread.start()
         return self
 
-    async def stop(self) -> None:
-        """Drain: serve everything admitted, then shut the dispatcher down.
+    def stop(self) -> None:
+        """Drain: serve everything admitted, then end the dispatcher thread.
 
-        New submissions are rejected with
-        :class:`~repro.errors.ServiceClosedError` the moment stop begins;
-        requests already in the queue are still batched and solved.
+        New submissions fail with :class:`~repro.errors.ServiceClosedError`
+        the moment stop begins; requests already in the queue are still
+        batched and solved.  A second ``stop`` does nothing.
         """
-        if self._task is None:
+        with self._admission:
+            requests, self._queue = self._queue, None
+        if requests is None:
             return
-        self._closing = True
-        assert self._queue is not None
-        await self._queue.put(_SENTINEL)
-        await self._task
-        self._task = None
-        # Defensive: nothing should trail the sentinel, but never leave a
-        # caller awaiting a future that can no longer resolve.
-        while not self._queue.empty():
-            item = self._queue.get_nowait()
-            if item is not _SENTINEL and not item.future.done():
-                item.future.set_exception(
-                    ServiceClosedError("service stopped before dispatch")
-                )
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self._queue = None
+        assert self._thread is not None
+        requests.put(_SENTINEL)
+        self._thread.join()
+        self._thread = None
 
-    async def __aenter__(self) -> "SolverService":
-        return await self.start()
+    def __enter__(self) -> "SolverService":
+        return self.start()
 
-    async def __aexit__(self, *exc: object) -> None:
-        await self.stop()
+    def __exit__(self, *exc: object) -> None:
+        self.stop()
 
     # ------------------------------------------------------------------
     # Client surface
@@ -223,7 +221,7 @@ class SolverService:
         """Store an operator payload; returns its fingerprint key."""
         return self.registry.register(matrix, method=method, **config)
 
-    async def solve(
+    def submit(
         self,
         operator: Union[str, CSRMatrix],
         rhs: np.ndarray,
@@ -232,119 +230,115 @@ class SolverService:
         atol: float = 0.0,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         timeout: Optional[float] = None,
-    ) -> ServeResult:
-        """Admit one request and await its batched solve.
+    ) -> "Future[ServeResult]":
+        """Admit one request from the calling thread; returns its future.
 
         ``operator`` is a registered fingerprint, or an inline
         :class:`CSRMatrix` that is registered on the fly (first request
-        pays the fingerprint hash; later ones should send the key).
-        Raises the typed :class:`~repro.errors.ServeError` family:
-        overload, unknown operator, timeout, closed service.
+        pays the fingerprint hash; later ones should send the key).  The
+        future raises the typed :class:`~repro.errors.ServeError` family
+        (overload, unknown operator, timeout, closed service), a
+        :class:`~repro.errors.ShapeError` or
+        :class:`~repro.errors.MatrixFormatError` for a malformed
+        right-hand side, or the block solver's own failure.  Malformed
+        requests fail before the queue and never reach a block.
         """
-        if self._closing or self._queue is None:
-            raise ServiceClosedError("service is not accepting requests")
-        if isinstance(operator, CSRMatrix):
-            fingerprint = self.registry.register(operator)
-        else:
-            fingerprint = operator
-        entry = self.registry.resolve(fingerprint)  # fail fast when unknown
-        rhs_arr = np.ascontiguousarray(rhs, dtype=np.float64)
-        if rhs_arr.shape != (entry.n,):
-            raise ShapeError(
-                f"rhs has shape {rhs_arr.shape}, operator expects ({entry.n},)"
-            )
-        loop = asyncio.get_running_loop()
-        request = PendingRequest(
-            operator=fingerprint,
-            rhs=rhs_arr,
-            rtol=float(rtol),
-            atol=float(atol),
-            max_iterations=int(max_iterations),
-            timeout=timeout,
-            submitted=time.perf_counter(),
-            future=loop.create_future(),
-        )
+        future: "Future[ServeResult]" = Future()
         try:
-            self._queue.put_nowait(request)
-        except asyncio.QueueFull:
-            self.metrics.record_rejected()
-            trace.add_counter("serve.rejected")
-            raise OverloadRejectedError(
-                f"admission queue full ({self.queue_capacity} pending); "
-                f"retry with backoff",
-                self.queue_capacity,
-            ) from None
-        self.metrics.record_admitted(self._queue.qsize())
+            if isinstance(operator, CSRMatrix):
+                fingerprint = self.registry.register(operator)
+            else:
+                fingerprint = operator
+            entry = self.registry.resolve(fingerprint)
+            rhs_arr = np.ascontiguousarray(rhs, dtype=np.float64)
+            if rhs_arr.shape != (entry.n,):
+                raise ShapeError(
+                    f"rhs has shape {rhs_arr.shape}, operator expects ({entry.n},)"
+                )
+            require_finite(rhs_arr, "rhs")
+            self._admit(
+                PendingRequest(
+                    operator=fingerprint,
+                    rhs=rhs_arr,
+                    rtol=float(rtol),
+                    atol=float(atol),
+                    max_iterations=int(max_iterations),
+                    timeout=timeout,
+                    submitted=time.perf_counter(),
+                    future=future,
+                )
+            )
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def _admit(self, request: PendingRequest) -> None:
+        with self._admission:
+            requests = self._queue
+            if requests is None:
+                raise ServiceClosedError("service is not accepting requests")
+            try:
+                requests.put_nowait(request)
+            except queue.Full:
+                self.metrics.record_rejected()
+                trace.add_counter("serve.rejected")
+                raise OverloadRejectedError(
+                    f"admission queue full ({self.queue_capacity} pending); "
+                    f"retry with backoff",
+                    self.queue_capacity,
+                ) from None
+            self.metrics.record_admitted(requests.qsize())
         trace.add_counter("serve.submitted")
-        return await request.future
 
     # ------------------------------------------------------------------
-    # Dispatcher
+    # Dispatcher thread
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        assert self._queue is not None
-        queue = self._queue
+    def _dispatch_loop(self, requests: "queue.Queue[Any]") -> None:
         closing = False
         while not closing:
-            first = await queue.get()
+            first = requests.get()
             if first is _SENTINEL:
                 break
             groups: Dict[BatchKey, List[PendingRequest]] = {
                 first.batch_key: [first]
             }
             if self.max_batch > 1 and self.window_seconds > 0.0:
-                closing = await self._collect_window(queue, groups)
-            for key, requests in groups.items():
-                await self._execute(key, requests)
-        # Post-sentinel: nothing else is coming; loop exits and stop()
-        # fails any stragglers.
+                closing = self._collect_window(requests, groups)
+            for key, batch in groups.items():
+                self._execute(key, batch)
 
-    async def _collect_window(
+    def _collect_window(
         self,
-        queue: "asyncio.Queue[Any]",
+        requests: "queue.Queue[Any]",
         groups: Dict[BatchKey, List[PendingRequest]],
     ) -> bool:
-        """Fill ``groups`` until the window closes; True when stopping."""
+        """Fill ``groups`` until the window closes; True when stopping.
+
+        Past the deadline ``get(timeout=0)`` still returns whatever is
+        already queued, so a burst that arrived in time joins the cycle.
+        """
         deadline = time.perf_counter() + self.window_seconds
         while True:
-            # Fast path: drain whatever a burst already queued without
-            # spawning a timer task per item (``wait_for`` wraps its
-            # awaitable in a Task — measurable at serving rates).
-            while True:
-                try:
-                    item = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is _SENTINEL:
-                    return True
-                bucket = groups.setdefault(item.batch_key, [])
-                bucket.append(item)
-                if len(bucket) >= self.max_batch:
-                    # Size window reached: close the whole cycle early so
-                    # the full group starts solving without waiting out
-                    # the clock.
-                    return False
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0.0:
-                return False
+            remaining = max(deadline - time.perf_counter(), 0.0)
             try:
-                item = await asyncio.wait_for(queue.get(), remaining)
-            except asyncio.TimeoutError:
+                item = requests.get(timeout=remaining)
+            except queue.Empty:
                 return False
             if item is _SENTINEL:
                 return True
             bucket = groups.setdefault(item.batch_key, [])
             bucket.append(item)
             if len(bucket) >= self.max_batch:
+                # Size window reached: close the whole cycle early so the
+                # full group starts solving without waiting out the clock.
                 return False
 
-    async def _execute(
-        self, key: BatchKey, requests: List[PendingRequest]
-    ) -> None:
+    def _execute(self, key: BatchKey, requests: List[PendingRequest]) -> None:
         now = time.perf_counter()
         live: List[PendingRequest] = []
         for request in requests:
-            if request.future.cancelled():
+            # False for a future its caller cancelled while it queued.
+            if not request.future.set_running_or_notify_cancel():
                 continue
             if request.expired(now):
                 waited = now - request.submitted
@@ -364,23 +358,14 @@ class SolverService:
         try:
             entry = self.registry.resolve(key[0])
         except UnknownOperatorError as exc:  # unregistered between checks
-            for request in live:
-                self.metrics.record_failed()
-                if not request.future.done():
-                    request.future.set_exception(exc)
+            self._fail(live, exc)
             return
-        loop = asyncio.get_running_loop()
         solve_start = time.perf_counter()
         try:
-            results, cache_hit = await loop.run_in_executor(
-                self._executor, self._solve_batch, entry, key, live
-            )
+            results, cache_hit = self._solve_batch(entry, key, live)
         except Exception as exc:  # isolate the failure to this block
             trace.add_counter("serve.batch_error")
-            for request in live:
-                self.metrics.record_failed()
-                if not request.future.done():
-                    request.future.set_exception(exc)
+            self._fail(live, exc)
             return
         end = time.perf_counter()
         self.metrics.record_batch(
@@ -397,24 +382,28 @@ class SolverService:
                 batch=len(live),
                 converged=result.converged,
             )
-            if not request.future.done():
-                request.future.set_result(
-                    ServeResult(
-                        result=result,
-                        operator=key[0],
-                        batch_size=len(live),
-                        latency_seconds=latency,
-                        queued_seconds=queued,
-                    )
+            request.future.set_result(
+                ServeResult(
+                    result=result,
+                    operator=key[0],
+                    batch_size=len(live),
+                    latency_seconds=latency,
+                    queued_seconds=queued,
                 )
+            )
 
-    # Runs on the solver thread: the numeric work plus its trace span.
+    def _fail(self, requests: List[PendingRequest], exc: Exception) -> None:
+        for request in requests:
+            self.metrics.record_failed()
+            request.future.set_exception(exc)
+
     def _solve_batch(
         self,
         entry: OperatorEntry,
         key: BatchKey,
         requests: List[PendingRequest],
     ) -> Tuple[List[SolveResult], bool]:
+        """The numeric work of one block plus its trace span."""
         _, rtol, atol, max_iterations = key
         span_attrs: Dict[str, Any] = dict(
             operator=key[0][:12], k=len(requests), method=entry.method

@@ -45,7 +45,7 @@ class ServiceMetrics:
         self.solve_seconds = LatencyHistogram()
 
     # ------------------------------------------------------------------
-    # Recording (called from the event loop and the solver thread)
+    # Recording (called from the submitting threads and the dispatcher)
     # ------------------------------------------------------------------
     def record_admitted(self, queue_depth: int) -> None:
         with self._lock:

@@ -63,7 +63,7 @@ from repro.serve.shm import (
 )
 from repro.solvers.cg import DEFAULT_MAX_ITERATIONS, DEFAULT_RTOL
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.validate import require_spd_screen
+from repro.sparse.validate import require_finite, require_spd_screen
 
 __all__ = ["MultiProcessClient", "shard_for"]
 
@@ -116,14 +116,11 @@ def _worker_main(
     the parent, which owns every unlink.
     """
     from repro.fsai.precond import FSAIApplication
-    from repro.serve.client import InProcessClient
     from repro.serve.dispatcher import SolverService
     from repro.serve.shm import publish_factor_segment
 
     apply_thread_budget(thread_env)
-    service = SolverService(shard_id=shard_id, **service_kwargs)
-    client = InProcessClient(service)
-    client.start()
+    service = SolverService(shard_id=shard_id, **service_kwargs).start()
     cache = service.cache
 
     attached: Dict[str, AttachedOperator] = {}
@@ -133,7 +130,8 @@ def _worker_main(
     publish_lock = threading.Lock()
 
     def publish_new_factors() -> None:
-        # Runs on the service loop thread (request done-callbacks); scan
+        # Runs in request done-callbacks: on the dispatcher thread, or on
+        # this loop's thread for a request that failed at admission.  Scan
         # the cache for setups built since the last pass and ship each
         # factor exactly once.
         with publish_lock:
@@ -194,7 +192,7 @@ def _worker_main(
                     _, req_id, fp, rhs, rtol, atol, max_iterations, timeout = (
                         message
                     )
-                    future = client.submit(
+                    future = service.submit(
                         fp,
                         rhs,
                         rtol=rtol,
@@ -228,7 +226,7 @@ def _worker_main(
                         ("metrics", shard_id, message[1], None)
                     )
     finally:
-        client.close()  # drains admitted requests before stopping
+        service.stop()  # serves every admitted request first
         cache.clear()  # release factor/operator array references
         for view in attached.values():
             view.close()
@@ -576,8 +574,9 @@ class MultiProcessClient:
     ) -> "Future[ServeResult]":
         """Route one request to its fingerprint's shard; returns a future.
 
-        Parent-side failures (unknown operator, bad shape, closed pool)
-        raise immediately; shard-side failures — including a worker death
+        Parent-side failures (unknown operator, bad shape, a NaN or
+        infinite right-hand side, closed pool) raise immediately;
+        shard-side failures — including a worker death
         (:class:`~repro.errors.WorkerCrashedError`) — surface through the
         future like every other serve error.
         """
@@ -599,6 +598,7 @@ class MultiProcessClient:
                 f"rhs has shape {rhs_arr.shape}, operator expects "
                 f"({spec.n_rows},)"
             )
+        require_finite(rhs_arr, "rhs")
         shard = shard_for(fingerprint, self.n_workers)
         worker = self._workers[shard]
         future: "Future[ServeResult]" = Future()

@@ -14,7 +14,7 @@ tolerances, so mixing tolerances inside one block would change results.
 
 from __future__ import annotations
 
-import asyncio
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -46,7 +46,7 @@ class PendingRequest:
     max_iterations: int
     timeout: Optional[float]
     submitted: float
-    future: "asyncio.Future[ServeResult]"
+    future: "Future[ServeResult]"
 
     @property
     def batch_key(self) -> BatchKey:

@@ -46,6 +46,7 @@ from repro.solvers.convergence import (
 )
 from repro.solvers.preconditioners import IdentityPreconditioner, Preconditioner
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.validate import require_finite
 
 __all__ = ["cg", "pcg", "pcg_multi"]
 
@@ -75,7 +76,8 @@ def pcg(
     a:
         SPD system matrix in CSR form.
     b:
-        Right-hand side.
+        Right-hand side.  A NaN or infinite entry in ``b`` or ``x0``
+        raises :class:`~repro.errors.MatrixFormatError` before any product.
     preconditioner:
         Object with ``apply``/``flops_per_application``; ``None`` runs plain
         CG (identity preconditioner, zero cost).
@@ -128,6 +130,7 @@ def _pcg(
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
         raise ShapeError(f"b has shape {b.shape}, expected ({n},)")
+    require_finite(b, "b")
     if rtol < 0 or atol < 0:
         raise ValueError("tolerances must be non-negative")
     M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
@@ -139,6 +142,8 @@ def _pcg(
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     if x.shape != (n,):
         raise ShapeError(f"x0 has shape {x.shape}, expected ({n},)")
+    if x0 is not None:
+        require_finite(x, "x0")
 
     spmv_flops = 2 * a.nnz
     precond_flops = M.flops_per_application()
@@ -338,6 +343,7 @@ def _pcg_multi(
         )
     if b.ndim != 2 or b.shape[1] != n:
         raise ShapeError(f"B has shape {b.shape}, expected (k, {n})")
+    require_finite(b, "b")
     k = b.shape[0]
     if rtol < 0 or atol < 0:
         raise ValueError("tolerances must be non-negative")
@@ -348,6 +354,8 @@ def _pcg_multi(
     x_full = np.zeros((k, n)) if x0 is None else np.array(x0, dtype=np.float64)
     if x_full.shape != (k, n):
         raise ShapeError(f"x0 has shape {x_full.shape}, expected ({k}, {n})")
+    if x0 is not None:
+        require_finite(x_full, "x0")
     if not x_full.flags.c_contiguous:
         x_full = np.ascontiguousarray(x_full)
 

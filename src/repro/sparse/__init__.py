@@ -1,12 +1,11 @@
 """Sparse-matrix substrate.
 
 This subpackage is a self-contained sparse linear-algebra layer implemented
-from scratch on top of NumPy.  It provides the three classic coordinate /
-compressed containers (:class:`COOMatrix`, :class:`CSRMatrix`,
-:class:`CSCMatrix`), a structure-only :class:`Pattern` type used heavily by
-the FSAI pattern machinery, vectorised SpMV kernels, symbolic operations
-(transpose, triangular parts, union, pattern powers), thresholding, and
-Matrix Market I/O.
+from scratch on top of NumPy.  It provides the coordinate and compressed
+row containers (:class:`COOMatrix`, :class:`CSRMatrix`), a structure-only
+:class:`Pattern` type used heavily by the FSAI pattern machinery,
+vectorised SpMV kernels, symbolic operations (transpose, triangular
+parts, union, pattern powers), thresholding, and Matrix Market I/O.
 
 Design notes
 ------------
@@ -26,7 +25,6 @@ Design notes
 from repro.sparse.pattern import Pattern
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.csc import CSCMatrix
 from repro.sparse.construct import (
     csr_from_dense,
     csr_identity,
@@ -44,7 +42,6 @@ __all__ = [
     "Pattern",
     "COOMatrix",
     "CSRMatrix",
-    "CSCMatrix",
     "csr_from_dense",
     "csr_identity",
     "csr_from_coo_arrays",

@@ -692,14 +692,6 @@ class CSRMatrix:
             self.indices.copy(), self.data.copy(),
         )
 
-    def to_csc(self):
-        from repro.sparse.csc import CSCMatrix
-
-        t = self.transpose()
-        return CSCMatrix(
-            self.n_rows, self.n_cols, t.indptr, t.indices, t.data, _validated=True
-        )
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape)
         dense[self.row_ids(), self.indices] = self.data

@@ -7,8 +7,8 @@ randomized traces spanning set counts, associativities and line ranges,
 over the repeat-heavy traces the collapse fast-path targets, over long
 windows that hold few distinct lines (where the scan runs through several
 doubling blocks), over traces large enough to chunk a pass, and over
-production traces of the campaign.  The engine is called directly:
-``replay`` sends every trace under 64 accesses to the oracle.
+production traces of the campaign.  The engine is called directly, as
+the default ``replay`` backend does for every trace.
 """
 
 import numpy as np

@@ -1,4 +1,4 @@
-"""InProcessClient: the synchronous, multi-thread harness over the loop."""
+"""InProcessClient: the synchronous, multi-thread harness over the service."""
 
 import threading
 
@@ -41,6 +41,22 @@ class TestLifecycle:
         assert client.solve(fp, _rhs(a, 1), rtol=1e-8).converged
         client.close()
         client.close()  # second close is a no-op
+
+    def test_serves_on_one_dispatcher_thread(self):
+        def service_threads():
+            return {
+                t for t in threading.enumerate()
+                if t.name.startswith("repro-serve")
+            }
+
+        a = poisson2d(6)
+        before = service_threads()
+        with InProcessClient(window_seconds=0.001) as client:
+            fp = client.register(a)
+            assert client.solve(fp, _rhs(a, 1), rtol=1e-8).converged
+            serving = service_threads() - before
+            assert [t.name for t in serving] == ["repro-serve"]
+        assert service_threads() - before == set()
 
     def test_service_and_kwargs_are_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
@@ -99,7 +115,7 @@ class TestRequests:
                 client.solve_many(stream, rtol=1e-8)
 
     def test_concurrent_submitters_from_many_threads(self):
-        """The client surface is thread-safe: N threads share one loop."""
+        """The client surface is thread-safe: N threads share one service."""
         a = poisson2d(8)
         n_threads, per_thread = 4, 3
         results, errors = [], []

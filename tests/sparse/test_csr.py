@@ -135,10 +135,6 @@ class TestConversions:
     def test_to_coo_roundtrip(self, a):
         assert np.allclose(a.to_coo().to_csr().to_dense(), a.to_dense())
 
-    def test_to_csc_matvec_agrees(self, a, rng):
-        x = rng.standard_normal(4)
-        assert np.allclose(a.to_csc().matvec(x), a.matvec(x))
-
     def test_copy_is_independent(self, a):
         c = a.copy()
         c.data[0] = 99.0

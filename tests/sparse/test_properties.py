@@ -69,16 +69,6 @@ class TestCSRProperties:
         a = csr_from_dense(d)
         assert np.array_equal(a.T.T.to_dense(), d)
 
-    @given(sparse_dense())
-    @settings(max_examples=60, deadline=None)
-    def test_csc_kernels_agree(self, d):
-        a = csr_from_dense(d)
-        c = a.to_csc()
-        x = np.ones(d.shape[1])
-        y = np.ones(d.shape[0])
-        assert np.allclose(c.matvec(x), a.matvec(x))
-        assert np.allclose(c.rmatvec(y), a.rmatvec(y))
-
     @given(sparse_dense(square=True))
     @settings(max_examples=60, deadline=None)
     def test_tril_triu_reassemble(self, d):
