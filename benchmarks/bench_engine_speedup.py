@@ -19,7 +19,7 @@ Components (each timed as min over repetitions, §7.1 style):
 * ``pcg_multi_rhs`` — the serving workload: 32 right-hand sides against
   small operators, looped single-RHS ``pcg`` vs one blocked ``pcg_multi``
   over a ``(32, n)`` row block (asserted >= ``MIN_MULTI_RHS_SPEEDUP``;
-  RHS/sec at widths 1/8/32 is recorded in the component detail).  Small
+  RHS/sec at widths 1/2/4/8/32 is recorded in the component detail).  Small
   systems are the honest regime for this gate: the blocked path pays
   the per-call dispatch once per iteration instead of once per vector,
   while at large ``n`` each row of a blocked product costs what its
@@ -137,7 +137,7 @@ MIN_CACHE_REPLAY_SPEEDUP = 3.0
 
 #: Gated block width, and the width sweep recorded as RHS/sec.
 MULTI_RHS_WIDTH = 32
-MULTI_RHS_WIDTHS = (1, 8, 32)
+MULTI_RHS_WIDTHS = (1, 2, 4, 8, 32)
 
 #: Serving-style operators for the multi-RHS component (poisson2d grid
 #: sides -> n = 144, 256): many right-hand sides against small systems,

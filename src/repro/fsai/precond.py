@@ -4,7 +4,7 @@ The paper stores ``G_ext`` and ``G_ext^T`` in CSR and performs two
 row-order SpMVs (§4.3).  Here every builder — FSAIE(full) included —
 returns ``FSAIApplication(g)``, and the application routes through the
 kernel registry's fused
-:meth:`~repro.kernels.base.KernelBackend.fsai_apply`, which performs both
+:meth:`~repro.kernels.base.KernelBackend.fsai_apply_op`, which performs both
 products from ``G``'s stored structure alone (the scatter half uses the
 cached column-grouped view), with all intermediates in preallocated
 workspaces.  Only the *pattern* of ``G^T`` is ever materialised, lazily,
@@ -52,13 +52,13 @@ class FSAIApplication:
         # re-dispatching the format per apply is pure overhead).
         # Construct a fresh application to pick up a backend switch.
         self._apply_op = None
-        # Blocked-apply handle plus the block width it was bound for; the
-        # multi-RHS solver shrinks its block when rows converge, so the
-        # handle (and its (k, n) intermediate) rebinds on width change —
-        # rare (a handful of compactions per solve) by design.  The
-        # gather scratch is the single-vector one, reused for every row.
+        # Blocked-apply handle and its (k, n) intermediate.  The handle
+        # takes any block of up to k rows, so the multi-RHS solver's
+        # shrinking block reuses it; only a wider block (in a solve, at
+        # most its first application) rebinds.  The gather scratch is the
+        # single-vector one, reused for every row.
         self._multi_op = None
-        self._multi_k = 0
+        self._multi_tmp: Optional[np.ndarray] = None
 
     def _workspaces(self):
         if self._scratch is None:
@@ -84,26 +84,17 @@ class FSAIApplication:
         tmp, scratch = self._workspaces()
         return get_backend().fsai_apply_op(self.g, tmp, scratch)
 
-    def apply_multi(self, r: FloatArray) -> FloatArray:
-        """Blocked ``Z[j] = G^T (G R[j])`` over a ``(k, n)`` residual block."""
-        return self.apply_multi_into(r, np.empty(r.shape))
-
     def apply_multi_into(self, r: FloatArray, out: FloatArray) -> FloatArray:
-        """As :meth:`apply_multi`, writing into the caller's ``(k, n)`` block."""
+        """Blocked ``out[j] = G^T (G r[j])`` over a ``(k, n)`` residual block."""
         if r.ndim != 2 or r.shape[1] != self.n:
             raise ShapeError(f"expected (k, n) block with n={self.n}")
-        op = self._multi_op
-        if op is None or self._multi_k != r.shape[0]:
-            op = self._multi_op = self._bind_apply_multi(r.shape[0])
-            self._multi_k = r.shape[0]
-        return op(r, out)
-
-    def _bind_apply_multi(self, k: int):
-        """Bind the blocked-apply handle and its ``(k, n)`` intermediate."""
-        _, scratch = self._workspaces()
-        return get_backend().fsai_apply_multi_op(
-            self.g, np.empty((k, self.n)), scratch
-        )
+        if self._multi_tmp is None or len(self._multi_tmp) < len(r):
+            _, scratch = self._workspaces()
+            self._multi_tmp = np.empty(r.shape)
+            self._multi_op = get_backend().fsai_apply_multi_op(
+                self.g, self._multi_tmp, scratch
+            )
+        return self._multi_op(r, out)
 
     def flops_per_application(self) -> int:
         """2 flops per stored entry and product."""

@@ -4,12 +4,14 @@ The paper's wall-time analysis (§2) shows PCG time is dominated by two
 memory-bound kernels — the SpMV with ``A`` and the FSAI application
 ``z = G^T (G r)`` — so those, plus the PCG vector updates, are the
 operations a backend must provide.  Serving many right-hand sides
-against one operator adds their blocked twins: the SpMM over a
-``(k, n)`` block holding one vector per row, and the fused multi-vector
-FSAI application.  Their default is a row loop over the single-vector
-kernels (rows of a C-contiguous block are contiguous, so no copies),
-which makes every row byte-identical to the single-vector product of
-that row; a backend may batch rows only under that same contract.
+against one operator adds their blocked twins, as bound handles only
+(:meth:`KernelBackend.spmm_op`, :meth:`KernelBackend.fsai_apply_multi_op`):
+the SpMM over a ``(k, n)`` block holding one vector per row, and the
+fused multi-vector FSAI application.  Their default is a row loop over
+the single-vector kernels (rows of a C-contiguous block are contiguous,
+so no copies), which makes every row byte-identical to the
+single-vector product of that row; a backend may batch rows only under
+that same contract.
 Everything else in the library stays backend-agnostic and calls these
 primitives through the registry (:func:`repro.kernels.get_backend`).
 
@@ -23,11 +25,11 @@ Sparse operands are duck-typed CSR objects (in practice
 Backends never mutate operands; any auxiliary structure they need is
 cached on the matrix so repeated calls (the CG loop) pay for it once.
 
-Dense operands (``x``, the block ``X``, ``r``/``R``) are validated at
-every public entry point: a non-float64 input is upcast to float64 with
-a :class:`KernelInputWarning` (a silent float32 operand would otherwise
-crash deep inside a workspace kernel, or quietly degrade precision), and
-a non-contiguous input is compacted silently.  ``out`` buffers are the
+Dense operands (``x``) are validated at every public entry point: a
+non-float64 input is upcast to float64 with a :class:`KernelInputWarning`
+(a silent float32 operand would otherwise crash deep inside a workspace
+kernel, or quietly degrade precision), and a non-contiguous input is
+compacted silently.  ``out`` buffers are the
 caller's result storage and cannot be coerced — a wrong dtype or shape
 raises immediately.  The *bound handles* (``spmv_op`` and friends) skip
 this validation by contract: they are built once per solve for loops
@@ -40,18 +42,19 @@ when they are omitted:
 
 ``out``
     Result buffer (``n_rows`` for :meth:`spmv`, ``n_cols`` for
-    :meth:`spmv_t`, ``n`` for :meth:`fsai_apply`; the blocked variants
+    :meth:`spmv_t`, ``n`` for the FSAI application; the blocked handles
     take the ``(k, ·)`` analogues).  Always returned, so call sites read
     uniformly whether they preallocated or not.
 ``scratch``
     ``nnz``-length float buffer for the gather product ``data * x[...]``;
-    the blocked kernels reuse the same buffer for every row.  The
+    the blocked handles reuse the same buffer for every row.  The
     reference backend leaves the (structure-ordered) products behind in
     it; the numpy and numba backends ignore it — its contents are
     backend-specific, only its role is contractual.
 ``tmp``
-    ``n``-length (``(k, n)`` for :meth:`fsai_apply_multi`) float buffer
-    holding the intermediate ``t = G r`` of the fused FSAI application.
+    ``n``-length (``(k, n)`` for :meth:`fsai_apply_multi_op`) float
+    buffer holding the intermediate ``t = G r`` of the fused FSAI
+    application.
 ``work``
     ``n``-length float buffer for :meth:`pcg_step`'s AXPY temporaries.
 
@@ -162,14 +165,13 @@ class KernelBackend(ABC):
     are asserted equal to its bytes; only its HYB products reorder a
     row's sum.
 
-    The public entry points (:meth:`spmv`, :meth:`spmm`, …) validate
+    The public entry points (:meth:`spmv`, :meth:`spmv_t`) validate
     operands and allocate missing ``out`` buffers, then delegate to the
     ``_``-prefixed hooks backends actually implement.  The blocked
-    kernels (:meth:`spmm`, :meth:`spmm_t`, :meth:`fsai_apply_multi`)
-    default to a row loop over the single-vector hooks, so a minimal
-    backend — including the reference oracle — is automatically
-    multi-RHS-correct, every row byte-identical to its single-vector
-    product.
+    handles (:meth:`spmm_op`, :meth:`fsai_apply_multi_op`) default to a
+    row loop over the single-vector hooks, so a minimal backend —
+    including the reference oracle — is automatically multi-RHS-correct,
+    every row byte-identical to its single-vector product.
     """
 
     #: Registry name; also stamped on trace spans (``backend=...``).
@@ -195,57 +197,6 @@ class KernelBackend(ABC):
         x = coerce_operand(x, name="x", ndim=1)
         out = _prepare_out(out, (a.n_cols,))
         return self._spmv_t(a, x, out, scratch)
-
-    def fsai_apply(
-        self, g: Any, r: np.ndarray, out: Optional[np.ndarray] = None,
-        *, tmp: Optional[np.ndarray] = None,
-        scratch: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Fused ``out = G^T (G r)`` from ``G``'s structure alone.
-
-        The intermediate ``t = G r`` lives in ``tmp`` (never a fresh
-        allocation when supplied), and the second product scatters through
-        the same stored factor — no explicit ``G^T`` matrix is required.
-        """
-        r = coerce_operand(r, name="r", ndim=1)
-        out = _prepare_out(out, (g.n_rows,))
-        return self._fsai_apply(g, r, out, tmp, scratch)
-
-    def spmm(
-        self, a: Any, x: np.ndarray, out: Optional[np.ndarray] = None,
-        *, scratch: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``out[j] = A @ X[j]`` for every row of a ``(k, n_cols)`` block.
-
-        ``scratch``, when a backend uses it, is the single-vector
-        ``(nnz,)`` workspace, reused for every row.
-        """
-        x = coerce_operand(x, name="X", ndim=2)
-        out = _prepare_out(out, (x.shape[0], a.n_rows))
-        return self._spmm(a, x, out, scratch)
-
-    def spmm_t(
-        self, a: Any, x: np.ndarray, out: Optional[np.ndarray] = None,
-        *, scratch: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """``out[j] = A.T @ X[j]`` for every row of a ``(k, n_rows)`` block."""
-        x = coerce_operand(x, name="X", ndim=2)
-        out = _prepare_out(out, (x.shape[0], a.n_cols))
-        return self._spmm_t(a, x, out, scratch)
-
-    def fsai_apply_multi(
-        self, g: Any, r: np.ndarray, out: Optional[np.ndarray] = None,
-        *, tmp: Optional[np.ndarray] = None,
-        scratch: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Fused ``out[j] = G^T (G R[j])`` over a ``(k, n)`` residual block.
-
-        The blocked twin of :meth:`fsai_apply`; ``tmp`` holds the
-        ``(k, n)`` intermediate ``T[j] = G R[j]``.
-        """
-        r = coerce_operand(r, name="R", ndim=2)
-        out = _prepare_out(out, (r.shape[0], g.n_rows))
-        return self._fsai_apply_multi(g, r, out, tmp, scratch)
 
     # ------------------------------------------------------------------
     # FSAI setup — the one *setup-side* kernel op
@@ -486,30 +437,11 @@ class KernelBackend(ABC):
     @abstractmethod
     def _spmv_t(self, a, x, out, scratch) -> np.ndarray: ...
 
-    @abstractmethod
-    def _fsai_apply(self, g, r, out, tmp, scratch) -> np.ndarray: ...
-
-    def _spmm(self, a, x, out, scratch) -> np.ndarray:
-        # Default: each (contiguous) row through the single-vector
-        # kernel, so every row is *identical* to spmv of that row — the
-        # oracle any batched override is held to.
-        for xj, yj in zip(x, out):
-            self._spmv(a, xj, yj, scratch)
-        return out
-
-    def _spmm_t(self, a, x, out, scratch) -> np.ndarray:
-        for xj, yj in zip(x, out):
-            self._spmv_t(a, xj, yj, scratch)
-        return out
-
-    def _fsai_apply_multi(self, g, r, out, tmp, scratch) -> np.ndarray:
-        # Default: the fused single-vector kernel on each row, so every
-        # row is fsai_apply of that row by construction.
-        if tmp is None or tmp.shape != r.shape:
-            tmp = np.empty(r.shape)
-        for rj, yj, tj in zip(r, out, tmp):
-            self._fsai_apply(g, rj, yj, tj, scratch)
-        return out
+    def _fsai_apply(self, g, r, out, tmp, scratch) -> np.ndarray:
+        # Default: the two products through ``tmp``, ``G r`` then
+        # ``G^T t`` scattered through G's own storage; numba fuses them.
+        self._spmv(g, r, tmp, scratch)
+        return self._spmv_t(g, tmp, out, scratch)
 
     # ------------------------------------------------------------------
     # Bound kernel handles (OSKI-style tuned operators)
@@ -549,18 +481,29 @@ class KernelBackend(ABC):
         workspace for backends that use one.
         """
         def op(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-            return self._spmm(a, x, out, scratch)
+            # Each (contiguous) row through the single-vector kernel, so
+            # every row is *identical* to the spmv of that row — the
+            # oracle any batched override is held to.
+            for xj, yj in zip(x, out):
+                self._spmv(a, xj, yj, scratch)
+            return out
         return op
 
     def fsai_apply_multi_op(self, g: Any, tmp: np.ndarray,
                             scratch: Optional[np.ndarray] = None):
         """Return ``op(R, out) -> out`` for the blocked FSAI application.
 
-        ``tmp`` is the caller-owned ``(k, n)`` intermediate block, which
-        pins the block width; ``scratch`` is as for :meth:`spmm_op`.
+        ``out[j] = G^T (G R[j])`` for every row of ``R``.  ``tmp`` is the
+        caller-owned ``(k, n)`` intermediate block; the handle takes any
+        block of up to ``k`` rows and keeps row ``j``'s ``G R[j]`` in
+        ``tmp[j]``.  ``scratch`` is as for :meth:`spmm_op`.
         """
         def op(r: np.ndarray, out: np.ndarray) -> np.ndarray:
-            return self._fsai_apply_multi(g, r, out, tmp, scratch)
+            # The fused single-vector kernel on each row, so every row is
+            # the fsai_apply_op product of that row by construction.
+            for rj, yj, tj in zip(r, out, tmp):
+                self._fsai_apply(g, rj, yj, tj, scratch)
+            return out
         return op
 
     # ------------------------------------------------------------------

@@ -28,7 +28,7 @@ structure-driven format selection:
   summed from 0.0 in stored order, the reference backend's ``bincount``
   order, so every ELL product is bit-identical to the reference kernel.
 
-The blocked kernels take a ``(k, n)`` block, one vector per row.  Only
+The blocked handles take a ``(k, n)`` block, one vector per row.  Only
 the DIA part of a DIA or HYB view has a batched form
 (:meth:`~repro.sparse.csr.DiaView.apply_multi`: one einsum per block of
 rows under a fixed byte budget); ELL views and every HYB remainder run
@@ -80,14 +80,6 @@ class NumpyBackend(KernelBackend):
                 scratch: Optional[np.ndarray]) -> np.ndarray:
         return _view_t(a).apply(x, out)
 
-    def _spmm(self, a: Any, x: np.ndarray, out: np.ndarray,
-              scratch: Optional[np.ndarray]) -> np.ndarray:
-        return _view(a).apply_multi(x, out)
-
-    def _spmm_t(self, a: Any, x: np.ndarray, out: np.ndarray,
-                scratch: Optional[np.ndarray]) -> np.ndarray:
-        return _view_t(a).apply_multi(x, out)
-
     def spmv_op(self, a: Any, scratch: Optional[np.ndarray] = None):
         # Resolve the format once: repeated products (the CG loop) then
         # jump straight into the bound view with zero dispatch overhead.
@@ -110,18 +102,10 @@ class NumpyBackend(KernelBackend):
         fwd, bwd = _view(g).apply_multi, _view_t(g).apply_multi
 
         def op(r: np.ndarray, out: np.ndarray) -> np.ndarray:
-            fwd(r, tmp)
-            return bwd(tmp, out)
+            t = tmp[: len(r)]  # any block up to tmp's rows
+            fwd(r, t)
+            return bwd(t, out)
         return op
-
-    def _fsai_apply(self, g: Any, r: np.ndarray, out: np.ndarray,
-                    tmp: Optional[np.ndarray],
-                    scratch: Optional[np.ndarray]) -> np.ndarray:
-        # Two products over G's cached views, intermediate in ``tmp``.
-        if tmp is None:
-            tmp = np.empty(g.n_rows)
-        self._spmv(g, r, tmp, scratch)
-        return self._spmv_t(g, tmp, out, scratch)
 
     def pcg_step(self, alpha: float, x: np.ndarray, d: np.ndarray,
                  r: np.ndarray, q: np.ndarray,

@@ -50,8 +50,8 @@ scalar-for-scalar by the reference and numba backends:
   pass, which is bit-equal to the sequential sum over the zero terms.
 * **Convergence compaction** — when fewer than half the live systems
   remain active (and more than two are live), converged columns are
-  compacted out, exactly like the blocked PCG.  Compaction is bitwise
-  neutral: it only re-indexes contiguous copies.
+  compacted out.  Compaction is bitwise neutral: it only re-indexes
+  contiguous copies.
 
 Identity padding is bitwise neutral here for the same reason as in the
 setup op: a padded identity block is decoupled from the real system, its

@@ -47,19 +47,11 @@ class ReferenceBackend(KernelBackend):
         out[:] = np.bincount(a.indices, weights=prod, minlength=a.n_cols)
         return out
 
-    def _fsai_apply(self, g: Any, r: np.ndarray, out: np.ndarray,
-                    tmp: Optional[np.ndarray],
-                    scratch: Optional[np.ndarray]) -> np.ndarray:
-        if tmp is None:
-            tmp = np.empty(g.n_rows)
-        self._spmv(g, r, tmp, scratch)
-        return self._spmv_t(g, tmp, out, scratch)
-
-    # The blocked kernels (_spmm / _spmm_t / _fsai_apply_multi) are
-    # deliberately the base class's column loop over the kernels above:
-    # per column the summation order is exactly the single-vector
-    # bincount order, which is what makes this backend the multi-RHS
-    # agreement oracle too.
+    # The FSAI application and the blocked handles are deliberately the
+    # base class's defaults over the two kernels above: two independent
+    # SpMVs, and a row loop whose per-row summation order is exactly the
+    # single-vector bincount order, which is what makes this backend the
+    # multi-RHS agreement oracle too.
 
     def _spgemm_numeric(self, plan: Any, a_data: np.ndarray,
                         b_data: np.ndarray) -> np.ndarray:

@@ -31,7 +31,8 @@ Implementation notes
 from __future__ import annotations
 
 import math
-from typing import Optional
+from functools import partial
+from typing import List, Optional
 
 import numpy as np
 
@@ -274,11 +275,11 @@ def pcg_multi(
     row's dots are the BLAS dot :func:`pcg` takes on that row alone.  A
     row's iterate and iteration count therefore never depend on which
     other rows share its block, and on the numpy and reference backends
-    they equal :func:`pcg`'s bit for bit (numba's fused ``pcg_step``
-    reduces ``r·r`` in its own order).  Converged (or broken-down) rows
-    are frozen by a mask and compacted out of the active block once
-    fewer than half remain, so stragglers don't drag finished rows'
-    bandwidth along.
+    every :class:`SolveResult` field of a row equals :func:`pcg`'s bit
+    for bit, ``flops`` included (numba's fused ``pcg_step`` reduces
+    ``r·r`` in its own order).  The block holds only rows still
+    iterating: a row that converges or breaks down (``d·q <= 0``) leaves
+    it in the iteration it stops, so finished rows cost nothing after.
 
     Parameters match :func:`pcg` with ``b`` (and optional ``x0``) shaped
     ``(k, n)``; a 1-D ``b`` raises — use :func:`pcg` for a single vector.
@@ -321,6 +322,15 @@ def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
+def _apply_rows(
+    m: Preconditioner, r_block: np.ndarray, z_block: np.ndarray
+) -> np.ndarray:
+    """Blocked application for a preconditioner with ``apply`` only."""
+    for rj, zj in zip(r_block, z_block):
+        zj[:] = m.apply(rj)
+    return z_block
+
+
 def _pcg_multi(
     a: CSRMatrix,
     b: FloatArray,
@@ -347,11 +357,15 @@ def _pcg_multi(
     k = b.shape[0]
     if rtol < 0 or atol < 0:
         raise ValueError("tolerances must be non-negative")
-    M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
+    M: Preconditioner = (
+        preconditioner if preconditioner is not None else IdentityPreconditioner(n)
+    )
     backend = get_backend()
 
     # Master solution block; x0 is copied (never aliased), matching pcg.
-    x_full = np.zeros((k, n)) if x0 is None else np.array(x0, dtype=np.float64)
+    x_full: np.ndarray = (
+        np.zeros((k, n)) if x0 is None else np.array(x0, dtype=np.float64)
+    )
     if x_full.shape != (k, n):
         raise ShapeError(f"x0 has shape {x_full.shape}, expected ({k}, {n})")
     if x0 is not None:
@@ -361,28 +375,26 @@ def _pcg_multi(
 
     spmv_flops = 2 * a.nnz
     precond_flops = M.flops_per_application()
-    flops = np.zeros(k, dtype=np.int64)
 
     # Bound product handle for the whole solve: it takes any block width,
     # and its gather scratch is the single-vector one, reused per row.
     spmm_op = backend.spmm_op(a, np.empty(a.nnz))
 
-    # R0 = B - A X0 (skip the SpMM when X0 = 0), one blocked product.
-    r_full = np.empty((k, n))
-    if x0 is None or not np.any(x_full):
-        np.copyto(r_full, b)
-    else:
-        spmm_op(x_full, r_full)
-        np.subtract(b, r_full, out=r_full)
-        flops += spmv_flops + n
+    # R0 = B - A X0.  As in pcg, a row whose x0 is zero skips the product.
+    r_full = b.copy()
+    flops = np.zeros(k, dtype=np.int64)
+    moved = np.flatnonzero(np.any(x_full, axis=1))
+    if len(moved):
+        r_full[moved] -= spmm_op(x_full[moved], np.empty((len(moved), n)))
+        flops[moved] = spmv_flops + n
 
-    histories = [
-        ConvergenceHistory() if record_history else None for _ in range(k)
-    ]
+    histories = (
+        [ConvergenceHistory() for _ in range(k)] if record_history else None
+    )
     r_norm0 = np.sqrt(_row_dots(r_full, r_full))
-    for j in range(k):
-        if histories[j] is not None:
-            histories[j].record(float(r_norm0[j]))
+    if histories is not None:
+        for history, norm0 in zip(histories, r_norm0):
+            history.record(float(norm0))
     thresholds = np.maximum(rtol * r_norm0, atol)
     converged = r_norm0 <= thresholds  # rows done before iterating
     iterations = np.zeros(k, dtype=np.int64)
@@ -391,103 +403,93 @@ def _pcg_multi(
     # Blocked preconditioner application: the shipped preconditioners all
     # expose apply_multi_into; apply-only ones (incomplete Cholesky) take
     # one row at a time.
-    apply_multi = getattr(M, "apply_multi_into", None)
-    if apply_multi is None:
-        def apply_multi(r_block: np.ndarray, z_block: np.ndarray) -> np.ndarray:
-            for rj, zj in zip(r_block, z_block):
-                zj[:] = M.apply(rj)
-            return z_block
+    apply_multi = getattr(M, "apply_multi_into", None) or partial(_apply_rows, M)
 
-    cols = np.flatnonzero(~converged)  # original ids of the block's rows
-    if k == 0 or len(cols) == 0:
+    cols: np.ndarray = np.flatnonzero(~converged)  # ids of the block's rows
+    if len(cols) == 0:
         # r_full is B - A X exactly here: the true residual is r_norm0.
         return _multi_result(
             x_full, converged, iterations, r_norm_final, r_norm0, histories,
             flops, r_norm0,
         )
 
-    # The active block's entire working set, reallocated only at the rare
-    # compaction points: five (kb, n) blocks.  Every per-iteration
-    # statement updates these in place; the only steady-state
-    # allocations are O(kb) coefficient vectors.
-    kb = len(cols)
-    x_b = x_full[cols]
-    r_b = r_full[cols]
-    z_b = np.empty((kb, n))
-    q_b = np.empty((kb, n))
-    work_b = np.empty((kb, n))
+    # The block holds only the rows still iterating: x/r/d/rho drop a row
+    # in the iteration it stops, and z/q/work are prefix views of buffers
+    # sized for the first block.
+    x = x_full[cols]
+    r = r_full[cols]
+    z_buf = np.empty((len(cols), n))
+    q_buf = np.empty((len(cols), n))
+    work_buf = np.empty((len(cols), n))
+    r_norm: np.ndarray = r_norm0[cols]
 
-    apply_multi(r_b, z_b)
-    flops[cols] += precond_flops
-    d_b = z_b.copy()
-    rho = _row_dots(r_b, z_b)
-    flops[cols] += 2 * n
-    active = np.ones(kb, dtype=bool)
+    apply_multi(r, z_buf)
+    d: np.ndarray = z_buf.copy()
+    rho = _row_dots(r, z_buf)
 
+    # pcg's flop count of a row, in closed form: the first application
+    # and r·z, ``full`` per whole iteration, and the ``tail`` by which the
+    # iteration a row stops in differs from a whole one.
+    first = precond_flops + 2 * n
+    full = spmv_flops + 12 * n + precond_flops
+
+    def leave(stop: np.ndarray, count: int, tail: int) -> np.ndarray:
+        """Bank the block's rows ``stop`` after ``count`` iterations.
+
+        Returns the mask of the rows that stay in the block.
+        """
+        gone = cols[stop]
+        x_full[gone] = x[stop]
+        iterations[gone] = count
+        r_norm_final[gone] = r_norm[stop]
+        flops[gone] += first + count * full + tail
+        return ~stop
+
+    it = 0
     for it in range(1, max_iterations + 1):
-        spmm_op(d_b, q_b)
-        dq = _row_dots(d_b, q_b)
-        # Rows hitting breakdown (indefinite/numerically broken: d·q
-        # <= 0) freeze at the *previous* iterate without converging —
-        # exactly pcg's early break, per row.
-        stepping = active & (dq > 0.0)
-        if trace.enabled():
-            broken = int(np.count_nonzero(active & ~stepping))
-            if broken:
-                trace.add_counter("cg.breakdowns", broken)
-            if stepping.any():
-                trace.add_counter("cg.iterations", int(stepping.sum()))
-        active &= stepping
-        if not np.any(stepping):
-            break
-        alpha = np.where(stepping, rho / np.where(dq > 0.0, dq, 1.0), 0.0)
-        # Frozen rows ride along with alpha = 0: their x/r rows are
-        # bit-unchanged, so freezing costs bandwidth but never accuracy.
-        np.multiply(d_b, alpha[:, None], out=work_b)
-        x_b += work_b
-        np.multiply(q_b, alpha[:, None], out=work_b)
-        r_b -= work_b
-        r_norm = np.sqrt(_row_dots(r_b, r_b))
-        step_cols = cols[stepping]
-        iterations[step_cols] = it
-        flops[step_cols] += spmv_flops + 8 * n
-        r_norm_final[step_cols] = r_norm[stepping]
-        if record_history:
-            for jb in np.flatnonzero(stepping):
-                histories[cols[jb]].record(float(r_norm[jb]))
-        done = stepping & (r_norm <= thresholds[cols])
-        if np.any(done):
+        q = q_buf[: len(cols)]
+        spmm_op(d, q)
+        dq = _row_dots(d, q)
+        broken = dq <= 0.0
+        if broken.any():
+            # Indefinite or numerically broken down: pcg's early break, per
+            # row.  The row keeps its previous iterate; this iteration's
+            # product and d·q are counted, as pcg counts them.
+            trace.add_counter("cg.breakdowns", int(broken.sum()))
+            keep = leave(broken, it - 1, spmv_flops + 2 * n)
+            cols, x, r, d, q = cols[keep], x[keep], r[keep], d[keep], q[keep]
+            rho, dq, r_norm = rho[keep], dq[keep], r_norm[keep]
+            if len(cols) == 0:
+                break
+        trace.add_counter("cg.iterations", len(cols))
+        alpha = (rho / dq)[:, None]
+        work = work_buf[: len(cols)]
+        np.multiply(d, alpha, out=work)
+        x += work
+        np.multiply(q, alpha, out=work)
+        r -= work
+        r_norm = np.sqrt(_row_dots(r, r))
+        if histories is not None:
+            for j, norm in zip(cols, r_norm):
+                histories[j].record(float(norm))
+        done = r_norm <= thresholds[cols]
+        if done.any():
+            # Converged: no preconditioner application or direction update.
             converged[cols[done]] = True
-            active &= ~done
-        if not np.any(active):
-            break
-        apply_multi(r_b, z_b)
-        rho_new = _row_dots(r_b, z_b)
-        flops[cols[active]] += precond_flops + 4 * n
-        beta = np.where(active, rho_new / np.where(rho != 0.0, rho, 1.0), 0.0)
-        np.multiply(d_b, beta[:, None], out=work_b)
-        np.add(z_b, work_b, out=d_b)
+            keep = leave(done, it, -(precond_flops + 4 * n))
+            cols, x, r, d = cols[keep], x[keep], r[keep], d[keep]
+            rho, r_norm = rho[keep], r_norm[keep]
+            if len(cols) == 0:
+                break
+        z = z_buf[: len(cols)]
+        apply_multi(r, z)
+        rho_new = _row_dots(r, z)
+        d *= (rho_new / rho)[:, None]
+        d += z
         rho = rho_new
+    if len(cols):  # the budget ran out with these rows still iterating
+        leave(np.ones(len(cols), dtype=bool), it, 0)
 
-        # Compaction: once fewer than half the block's rows are still
-        # active, shrink every workspace to the survivors, so finished
-        # rows stop consuming bandwidth.
-        n_active = int(active.sum())
-        if n_active and n_active < kb / 2:
-            x_full[cols] = x_b  # bank every row's current iterate
-            keep = np.flatnonzero(active)
-            cols = cols[keep]
-            kb = len(cols)
-            x_b = x_b[keep]
-            r_b = r_b[keep]
-            d_b = d_b[keep]
-            rho = rho[keep]
-            z_b = np.empty((kb, n))
-            q_b = np.empty((kb, n))
-            work_b = np.empty((kb, n))
-            active = np.ones(kb, dtype=bool)
-
-    x_full[cols] = x_b
     # True residuals of the returned block, one blocked product into the
     # spent initial-residual block.
     spmm_op(x_full, r_full)
@@ -510,7 +512,7 @@ def _multi_result(
     iterations: np.ndarray,
     r_norm_final: np.ndarray,
     r_norm0: np.ndarray,
-    histories,
+    histories: Optional[List[ConvergenceHistory]],
     flops: np.ndarray,
     true_norm: np.ndarray,
 ) -> MultiSolveResult:
@@ -526,7 +528,7 @@ def _multi_result(
                 iterations=int(iterations[j]),
                 residual_norm=rn,
                 relative_residual=rn / rn0 if rn0 > 0 else 0.0,
-                history=histories[j],
+                history=histories[j] if histories is not None else None,
                 flops=int(flops[j]),
                 true_relative_residual=(
                     float(true_norm[j]) / rn0 if rn0 > 0 else 0.0

@@ -294,18 +294,12 @@ def test_fsai_apply_matches_dense(backend_name, case):
     gd = g.to_dense()
     r = np.random.default_rng(9).standard_normal(g.n_rows)
     expected = gd.T @ (gd @ r)
-    _assert_close(backend.fsai_apply(g, r), expected)
-    # And the fully-buffered variant used by the solver loop.
-    out = np.empty(g.n_rows)
-    tmp = np.empty(g.n_rows)
-    scratch = np.empty(g.nnz)
-    got = backend.fsai_apply(g, r, out=out, tmp=tmp, scratch=scratch)
-    assert got is out
-    _assert_close(got, expected)
-    op = backend.fsai_apply_op(g, tmp, scratch)
-    out2 = np.empty(g.n_rows)
-    assert op(r, out2) is out2
-    _assert_close(out2, expected)
+    # The bound handle the solver loop uses, with and without scratch.
+    for scratch in (None, np.empty(g.nnz)):
+        op = backend.fsai_apply_op(g, np.empty(g.n_rows), scratch)
+        out = np.empty(g.n_rows)
+        assert op(r, out) is out
+        _assert_close(out, expected)
 
 
 # ----------------------------------------------------------------------
@@ -359,10 +353,9 @@ def test_ell_products_are_the_oracles_bytes(backend_name, product, name, a):
 def test_ell_fsai_apply_is_the_oracles_bytes(backend_name, case):
     _, g = case
     r = np.random.default_rng(13).standard_normal(g.n_rows)
-    tmp = np.empty(g.n_rows)
-    out = np.empty(g.n_rows)
-    get_backend(backend_name).fsai_apply_op(g, tmp)(r, out)
-    expected = get_backend("reference").fsai_apply(g, r)
+    out, expected = np.empty(g.n_rows), np.empty(g.n_rows)
+    get_backend(backend_name).fsai_apply_op(g, np.empty(g.n_rows))(r, out)
+    get_backend("reference").fsai_apply_op(g, np.empty(g.n_rows))(r, expected)
     assert out.tobytes() == expected.tobytes()
 
 

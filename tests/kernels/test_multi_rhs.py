@@ -1,20 +1,22 @@
-"""Blocked (multi-RHS) kernels agree with dense algebra on every backend.
+"""Blocked (multi-RHS) handles agree with dense algebra on every backend.
 
-A block holds one vector per row: ``(k, n)``, C-contiguous.  The SpMM /
-SpMM^T / fused multi-FSAI kernels reuse the matrix zoo from
-``test_backends`` so each format (exact DIA, HYB with COO or ELL
-remainder, one-block and multi-bucket ELL, and the adversarial small
-shapes) is driven through its blocked twin at several block widths,
-including ``k=1`` (degenerate block) and a width wide enough to matter
-for the serving workload (``k=32``).  Beyond dense agreement, every row
-of a blocked product must be byte-identical to the single-vector product
-of that row — the contract that makes a served request's answer
-independent of its batch.
+A block holds one vector per row: ``(k, n)``, C-contiguous.  The blocked
+products exist only as bound handles — ``spmm_op`` and the fused
+``fsai_apply_multi_op``, whose second half is the blocked transpose
+product — and reuse the matrix zoo from ``test_backends`` so each format
+(exact DIA, HYB with COO or ELL remainder, one-block and multi-bucket
+ELL, and the adversarial small shapes) is driven through its blocked
+twin at several block widths, including ``k=1`` (degenerate block) and a
+width wide enough to matter for the serving workload (``k=32``).  Beyond
+dense agreement, every row of a blocked product must be byte-identical
+to the single-vector handle's product of that row — the contract that
+makes a served request's answer independent of its batch.
 
-The second half covers the operand-validation satellite: float32 and
-integer blocks upcast with :class:`KernelInputWarning`, Fortran-ordered
-blocks are compacted silently, and unusable ``out`` buffers raise
-instead of being silently copied around.
+The second half covers operand validation at the single-vector entry
+points: float32 and integer vectors upcast with
+:class:`KernelInputWarning`, non-contiguous vectors are compacted
+silently, and unusable ``out`` buffers raise instead of being silently
+copied around.
 """
 
 import warnings
@@ -40,6 +42,25 @@ def _block(rng, n, k):
     return rng.standard_normal((k, n))
 
 
+def _spmm(backend, a, x, scratch=None):
+    out = np.full((len(x), a.n_rows), np.nan)
+    assert backend.spmm_op(a, scratch)(x, out) is out
+    return out
+
+
+def _fsai_apply_multi(backend, g, r, width=None):
+    """``G^T (G r[j])`` per row, through a handle bound for ``width`` rows."""
+    tmp = np.empty((width or len(r), g.n_rows))
+    out = np.full((len(r), g.n_cols), np.nan)
+    assert backend.fsai_apply_multi_op(g, tmp, np.empty(g.nnz))(r, out) is out
+    return out
+
+
+def _fsai_apply(backend, g, r):
+    out = np.full(g.n_cols, np.nan)
+    return backend.fsai_apply_op(g, np.empty(g.n_rows), np.empty(g.nnz))(r, out)
+
+
 # ----------------------------------------------------------------------
 # Dense agreement over the zoo, all backends x all widths
 # ----------------------------------------------------------------------
@@ -52,33 +73,36 @@ def test_spmm_matches_dense(backend_name, case, k):
     _, a = case
     backend = get_backend(backend_name)
     x = _block(np.random.default_rng(15), a.n_cols, k)
-    _assert_close(backend.spmm(a, x), x @ a.to_dense().T)
+    _assert_close(_spmm(backend, a, x), x @ a.to_dense().T)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("case", ZOO, ids=[name for name, _ in ZOO])
 @pytest.mark.parametrize("k", WIDTHS)
 def test_spmm_t_matches_dense(backend_name, case, k):
+    """The blocked transpose product, as the second half of the FSAI handle.
+
+    Bound over any (also rectangular) ``A``, ``fsai_apply_multi_op``
+    computes ``A^T (A x[j])``, so the zoo drives every transposed view
+    through its blocked form.
+    """
     _, a = case
     backend = get_backend(backend_name)
-    x = _block(np.random.default_rng(16), a.n_rows, k)
-    _assert_close(backend.spmm_t(a, x), x @ a.to_dense())
+    x = _block(np.random.default_rng(16), a.n_cols, k)
+    dense = a.to_dense()
+    _assert_close(_fsai_apply_multi(backend, a, x), (x @ dense.T) @ dense)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("case", ZOO, ids=[name for name, _ in ZOO])
 def test_spmm_workspace_variant_is_identical(backend_name, case):
-    """out=/scratch= must change allocation, never the numbers."""
+    """scratch= must change allocation, never the numbers."""
     _, a = case
     backend = get_backend(backend_name)
-    k = 5
-    x = _block(np.random.default_rng(17), a.n_cols, k)
-    plain = backend.spmm(a, x)
-    out = np.full((k, a.n_rows), np.nan)
-    scratch = np.empty(a.nnz)
-    buffered = backend.spmm(a, x, out=out, scratch=scratch)
-    assert buffered is out
-    np.testing.assert_array_equal(buffered, plain)
+    x = _block(np.random.default_rng(17), a.n_cols, 5)
+    np.testing.assert_array_equal(
+        _spmm(backend, a, x, np.empty(a.nnz)), _spmm(backend, a, x)
+    )
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -102,18 +126,9 @@ def test_fsai_apply_multi_matches_dense(backend_name, case, k):
     gd = g.to_dense()
     r = _block(np.random.default_rng(19), g.n_rows, k)
     expected = (r @ gd.T) @ gd
-    _assert_close(backend.fsai_apply_multi(g, r), expected)
-    # Fully-buffered variant and the bound handle the solver loop uses.
-    out = np.empty((k, g.n_rows))
-    tmp = np.empty((k, g.n_rows))
-    scratch = np.empty(g.nnz)
-    got = backend.fsai_apply_multi(g, r, out=out, tmp=tmp, scratch=scratch)
-    assert got is out
-    _assert_close(got, expected)
-    op = backend.fsai_apply_multi_op(g, tmp, scratch)
-    out2 = np.empty((k, g.n_rows))
-    assert op(r, out2) is out2
-    _assert_close(out2, expected)
+    _assert_close(_fsai_apply_multi(backend, g, r), expected)
+    # A handle bound for a wider block takes this one in a prefix of tmp.
+    _assert_close(_fsai_apply_multi(backend, g, r, width=k + 2), expected)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -146,12 +161,13 @@ def test_spmm_rows_are_spmv_bytes(backend_name, case, k):
     backend = get_backend(backend_name)
     rng = np.random.default_rng(21)
     x = _block(rng, a.n_cols, k)
+    spmv_op = backend.spmv_op(a, np.empty(a.nnz))
     _assert_rows_identical(
-        backend.spmm(a, x), lambda v: backend.spmv(a, v), x
+        _spmm(backend, a, x), lambda v: spmv_op(v, np.empty(a.n_rows)), x
     )
-    xt = _block(rng, a.n_rows, k)
+    # The transposed products, as the FSAI handles' second halves.
     _assert_rows_identical(
-        backend.spmm_t(a, xt), lambda v: backend.spmv_t(a, v), xt
+        _fsai_apply_multi(backend, a, x), lambda v: _fsai_apply(backend, a, v), x
     )
 
 
@@ -162,10 +178,9 @@ def test_fsai_apply_multi_rows_are_fsai_apply_bytes(backend_name, case, k):
     _, g = case
     backend = get_backend(backend_name)
     r = _block(np.random.default_rng(22), g.n_rows, k)
-    tmp = np.empty((k, g.n_rows))
-    block = np.empty((k, g.n_rows))
-    backend.fsai_apply_multi_op(g, tmp, np.empty(g.nnz))(r, block)
-    _assert_rows_identical(block, lambda v: backend.fsai_apply(g, v), r)
+    _assert_rows_identical(
+        _fsai_apply_multi(backend, g, r), lambda v: _fsai_apply(backend, g, v), r
+    )
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -180,10 +195,10 @@ def test_rows_past_the_dia_block_budget(backend_name):
     rng = np.random.default_rng(23)
     x = _block(rng, a.n_cols, 3)
     _assert_rows_identical(
-        backend.spmm(a, x), lambda v: backend.spmv(a, v), x
+        _spmm(backend, a, x), lambda v: backend.spmv(a, v), x
     )
     _assert_rows_identical(
-        backend.fsai_apply_multi(g, x), lambda v: backend.fsai_apply(g, v), x
+        _fsai_apply_multi(backend, g, x), lambda v: _fsai_apply(backend, g, v), x
     )
 
 
@@ -206,15 +221,6 @@ def test_float32_vector_upcast_with_warning(backend_name):
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_float32_block_upcast_with_warning(backend_name):
-    backend = get_backend(backend_name)
-    x32 = np.random.default_rng(23).standard_normal((4, 3)).astype(np.float32)
-    with pytest.warns(KernelInputWarning, match="float64"):
-        got = backend.spmm(A_SMALL, x32)
-    _assert_close(got, x32.astype(np.float64) @ A_SMALL.to_dense().T)
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
 def test_integer_rhs_upcast_with_warning(backend_name):
     backend = get_backend(backend_name)
     x = np.array([1, 2, 3])
@@ -225,13 +231,14 @@ def test_integer_rhs_upcast_with_warning(backend_name):
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_fortran_ordered_block_accepted_silently(backend_name):
+    """A row of a Fortran-ordered block is a strided vector: compacted."""
     backend = get_backend(backend_name)
     x = np.asfortranarray(np.random.default_rng(24).standard_normal((6, 3)))
-    assert not x.flags.c_contiguous
+    assert not x[2].flags.c_contiguous
     with warnings.catch_warnings():
         warnings.simplefilter("error", KernelInputWarning)
-        got = backend.spmm(A_SMALL, x)
-    _assert_close(got, x @ A_SMALL.to_dense().T)
+        got = backend.spmv(A_SMALL, x[2])
+    _assert_close(got, A_SMALL.to_dense() @ x[2])
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -241,7 +248,7 @@ def test_wrong_dtype_out_raises(backend_name):
     with pytest.raises(TypeError, match="float64"):
         backend.spmv(A_SMALL, x, np.empty(3, dtype=np.float32))
     with pytest.raises(TypeError, match="float64"):
-        backend.spmm(A_SMALL, np.ones((2, 3)), np.empty((2, 3), dtype=np.float32))
+        backend.spmv_t(A_SMALL, x, np.empty(3, dtype=np.float32))
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -250,13 +257,13 @@ def test_wrong_shape_out_raises(backend_name):
     with pytest.raises(ValueError, match="shape"):
         backend.spmv(A_SMALL, np.ones(3), np.empty(4))
     with pytest.raises(ValueError, match="shape"):
-        backend.spmm(A_SMALL, np.ones((2, 3)), np.empty((3, 3)))
+        backend.spmv_t(A_SMALL, np.ones(3), np.empty((3, 1)))
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_wrong_rank_operand_raises(backend_name):
     backend = get_backend(backend_name)
-    with pytest.raises(ValueError, match="2-D"):
-        backend.spmm(A_SMALL, np.ones(3))
     with pytest.raises(ValueError, match="1-D"):
         backend.spmv(A_SMALL, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="1-D"):
+        backend.spmv_t(A_SMALL, np.ones((2, 3)))

@@ -109,7 +109,7 @@ class TestBreakdownCounter:
 
     def test_pcg_multi_counts_each_frozen_column(self):
         # Row 0 converges in one step; rows 1 (d·q < 0) and 2 (d·q = 0)
-        # freeze on breakdown in the first iteration.
+        # break down and leave the block in the first iteration.
         a = csr_from_dense(self.INDEFINITE)
         b = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with trace.collecting() as collector:

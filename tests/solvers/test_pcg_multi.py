@@ -5,9 +5,10 @@ promises per-row equivalence with :func:`pcg` — same iteration counts,
 same residual histories, iterates within 1e-10 on every backend and
 byte-identical on numpy — while doing the work through blocked kernels.
 The tests here pin that promise across every registered backend, drive
-the compaction path with a block whose rows converge at wildly different
+row retirement with a block whose rows converge at wildly different
 rates (Laplacian eigenvectors finish in one iteration next to random
-rows taking dozens), and cover the satellite aliasing contracts:
+rows taking dozens) and with rows that break down, and cover the
+aliasing contracts:
 ``apply_into(r, out=r)`` and ``pcg(..., x0=b)`` must be correct, never
 silently corrupted.
 """
@@ -92,13 +93,13 @@ def test_matches_single_rhs_with_jacobi_and_x0():
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
-def test_compaction_path_matches_single_rhs(backend_name):
-    """Rows converging at wildly different rates force compaction.
+def test_rows_leaving_early_match_single_rhs(backend_name):
+    """Rows converging at wildly different rates leave the block early.
 
-    Laplacian eigenvectors make pcg converge in a single iteration, so a
-    block mixing six of them with two random columns drops below half
-    occupancy immediately — the exact-match assertion then also certifies
-    the compaction bookkeeping (banking, reslicing, handle rebinding).
+    Laplacian eigenvectors make pcg converge in a single iteration, so six
+    of the block's eight rows leave it after the first iteration — the
+    exact-match assertion then also certifies the retirement bookkeeping
+    (banking, reslicing, the prefix views of the shrinking block).
     """
     n = 64
     a = _lap1d(n)
@@ -113,8 +114,36 @@ def test_compaction_path_matches_single_rhs(backend_name):
         multi = pcg_multi(a, b, rtol=1e-12)
         singles = [pcg(a, b[j], rtol=1e-12) for j in range(8)]
     iters = [c.iterations for c in multi.columns]
-    assert min(iters) == 1 and max(iters) > 10  # the spread compaction needs
+    assert min(iters) == 1 and max(iters) > 10  # rows leave at different times
     _assert_columns_match(multi, singles)
+
+
+def _indefinite_tridiagonal(n=50):
+    """Diagonal 4 (-1 on every 7th row), off-diagonals -1: CG breaks down."""
+    d = np.diag(np.full(n, 4.0)) - np.eye(n, k=1) - np.eye(n, k=-1)
+    i = np.arange(0, n, 7)
+    d[i, i] = -1.0
+    return csr_from_dense(d)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_breakdown_rows_count_pcg_flops(backend_name):
+    """A row that breaks down reports pcg's flops, not just its iterate.
+
+    pcg counts the SpMV and d·q of the iteration that breaks down; the
+    blocked solver counts them too, so every field of the row agrees.
+    """
+    a = _indefinite_tridiagonal()
+    b = np.random.default_rng(0).standard_normal((3, a.n_rows))
+    with use_backend(backend_name):
+        multi = pcg_multi(a, b)
+        singles = [pcg(a, b[j]) for j in range(3)]
+    assert not any(c.converged for c in multi.columns)
+    assert [c.flops for c in singles] == [1392, 2288, 1392]
+    for col, ref in zip(multi.columns, singles):
+        assert col.x.tobytes() == ref.x.tobytes()
+        assert (col.iterations, col.flops) == (ref.iterations, ref.flops)
+        assert col.residual_norm == ref.residual_norm
 
 
 def test_histories_match_single_rhs():
@@ -230,11 +259,33 @@ def test_fsai_apply_multi_into_aliased_out(backend_name):
     r = np.random.default_rng(42).standard_normal((4, a.n_rows))
     with use_backend(backend_name):
         app = FSAIApplication(g)
-        expected = app.apply_multi(r)
+        expected = app.apply_multi_into(r, np.empty(r.shape))
         buf = r.copy()
         got = app.apply_multi_into(buf, buf)
     assert got is buf
     np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_fsai_apply_multi_into_takes_any_width(backend_name):
+    """One blocked handle serves every narrower block; a wider one rebinds."""
+    a = poisson2d(10)
+    g = compute_g(a, fsai_initial_pattern(a))
+    r = np.random.default_rng(46).standard_normal((6, a.n_rows))
+    with use_backend(backend_name):
+        app = FSAIApplication(g)
+        single = [app.apply(rj) for rj in r]
+        app.apply_multi_into(r[:4], np.empty((4, a.n_rows)))
+        handle = app._multi_op
+        for k in (4, 1, 3):
+            got = app.apply_multi_into(r[:k], np.empty((k, a.n_rows)))
+            assert app._multi_op is handle
+            for j in range(k):
+                assert got[j].tobytes() == single[j].tobytes()
+        got = app.apply_multi_into(r, np.empty(r.shape))
+    assert app._multi_op is not handle
+    for j in range(6):
+        assert got[j].tobytes() == single[j].tobytes()
 
 
 def test_pcg_x0_aliasing_b():
