@@ -86,10 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--setup-backend", default=None, metavar="NAME",
                 help="FSAI setup backend, a kernel-registry name: "
-                     "auto/numpy/numba, or reference for the scalar "
-                     "oracle (slow on large cases); the removed "
-                     "bucketed path is rejected; default resolves "
-                     "$REPRO_KERNEL_BACKEND, then auto",
+                     "numpy, or reference for the scalar oracle (slow "
+                     "on large cases); default resolves "
+                     "$REPRO_KERNEL_BACKEND, then numpy",
             )
         if quick:
             sp.add_argument(

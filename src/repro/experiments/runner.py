@@ -58,9 +58,10 @@ class ExperimentConfig:
     #: executed count per case lands in :attr:`MethodRun.sweeps`.
     global_sweeps: int = 30
     include_random_baseline: bool = False
-    #: FSAI setup backend, a kernel-registry name (``None`` = resolve via
-    #: ``$REPRO_KERNEL_BACKEND``, then ``"auto"``); ``"reference"`` runs
-    #: the setup ops on the scalar oracle backend.
+    #: FSAI setup backend, a kernel-registry name (``None`` = resolve as
+    #: the solves do: ``use_backend``, then ``$REPRO_KERNEL_BACKEND``, then
+    #: numpy); ``"reference"`` runs the setup ops on the scalar oracle
+    #: backend.
     setup_backend: Optional[str] = None
 
     def machine_model(self) -> MachineModel:
@@ -168,7 +169,7 @@ class CaseResult:
     #: (campaign artifacts then carry phase breakdowns; see docs/tracing.md).
     trace_summary: Optional[TraceSummary] = None
     #: Name of the kernel backend that actually ran the solves
-    #: (``numpy``/``numba``/``reference``) — resolved *inside* the process
+    #: (``numpy``/``reference``) — resolved *inside* the process
     #: that executed the case, so orchestrated campaigns record which
     #: implementation produced each result even across worker processes.
     kernel_backend: Optional[str] = None

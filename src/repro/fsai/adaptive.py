@@ -45,12 +45,9 @@ import numpy as np
 from repro import trace
 from repro.arch.address import ArrayPlacement
 from repro.fsai.extended import FSAISetup, setup_fsaie_sweep
-from repro.fsai.frobenius import (
-    _resolve_setup_backend,
-    compute_g,
-    setup_flops_direct,
-)
+from repro.fsai.frobenius import compute_g, setup_flops_direct
 from repro.fsai.precond import FSAIApplication
+from repro.kernels import get_backend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
 from repro.sparse.validate import require_spd_screen
@@ -81,7 +78,7 @@ def adaptive_pattern(
     if max_new_per_row < 0:
         raise ValueError("invalid growth budget")
     n = a.n_rows
-    kb = _resolve_setup_backend(None)
+    kb = get_backend()
     scale = np.sqrt(a.diagonal())
     pattern = Pattern.identity(n)
     growing = np.ones(n, dtype=bool)

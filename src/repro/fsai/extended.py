@@ -156,7 +156,8 @@ def setup_fsai(
 
     ``setup_backend`` selects the local-solve implementation exactly as
     :func:`repro.fsai.frobenius.compute_g`'s ``backend`` does (``None``
-    resolves via ``$REPRO_KERNEL_BACKEND``, then ``"auto"``).
+    resolves via ``use_backend``, then ``$REPRO_KERNEL_BACKEND``, then
+    numpy).
     """
     require_spd_screen(a)
     with trace.span("fsai.setup", method="fsai", n=a.n_rows):

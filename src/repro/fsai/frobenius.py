@@ -28,7 +28,6 @@ backend is the scalar oracle both ops are tested against.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
@@ -36,9 +35,7 @@ import numpy as np
 from repro import trace
 from repro._typing import IndexArray
 from repro.errors import PatternError, ShapeError
-from repro.kernels import ENV_VAR as KERNEL_ENV_VAR
 from repro.kernels import get_backend
-from repro.kernels.base import KernelBackend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
 from repro.sparse.validate import require_finite, require_square
@@ -59,28 +56,16 @@ DEFAULT_PRECALC_RTOL = 1e-2
 DEFAULT_PRECALC_ITERATIONS = 20
 
 
-def _resolve_setup_backend(backend: Optional[str]) -> KernelBackend:
-    """Resolve a setup ``backend=`` argument to a kernel backend.
-
-    Precedence mirrors the solve side: an explicit name wins, otherwise
-    ``$REPRO_KERNEL_BACKEND``, otherwise ``"auto"`` (numba when
-    installed, numpy when not).  Unknown names raise
-    :class:`~repro.errors.ConfigurationError` from the registry.
-    """
-    if backend is None:
-        backend = os.environ.get(KERNEL_ENV_VAR, "").strip() or "auto"
-    return get_backend(backend)
-
-
 def resolve_setup_backend(backend: Optional[str] = None) -> str:
     """Concrete setup-backend name ``backend`` resolves to right now.
 
-    ``None`` applies the full default chain (env var, then ``"auto"``);
-    names collapse to the backend actually selected (e.g. ``"numba"``
-    without numba installed resolves to ``"numpy"``).  This is the name
+    Set-up resolves like the solve side (:func:`repro.kernels.get_backend`):
+    an explicit name wins, then an active ``use_backend``, then
+    ``$REPRO_KERNEL_BACKEND``, then numpy.  Unknown names raise
+    :class:`~repro.errors.ConfigurationError`.  This is the name
     :class:`repro.experiments.runner.CaseResult` records.
     """
-    return _resolve_setup_backend(backend).name
+    return get_backend(backend).name
 
 
 def _check_pattern(a: CSRMatrix, pattern: Pattern) -> None:
@@ -116,18 +101,17 @@ def compute_g(
     :mod:`tests.fsai` asserts this invariant.
 
     ``backend`` is a kernel-registry name; ``None`` (default) resolves
-    ``$REPRO_KERNEL_BACKEND`` when set, ``"auto"`` otherwise.  The
-    ``fsai_setup`` op runs grouped, identity-padded batched Cholesky
-    with byte-identical output on every backend (see
+    as :func:`resolve_setup_backend` does.  The ``fsai_setup`` op runs
+    grouped, identity-padded batched Cholesky with byte-identical
+    output on every backend (see
     :mod:`repro.kernels.setup`).  Raises
     :class:`~repro.errors.NotSPDError` naming the first row whose local
     system is not SPD.
     """
     _check_pattern(a, pattern)
-    kb = _resolve_setup_backend(backend)
+    kb = get_backend(backend)
     with trace.span(
-        "fsai.frobenius", rows=pattern.n_rows, nnz=pattern.nnz,
-        backend=kb.name, threads=kb.setup_threads(),
+        "fsai.frobenius", rows=pattern.n_rows, nnz=pattern.nnz, backend=kb.name,
     ):
         if trace.enabled():
             trace.add_counter("fsai.frobenius_flops", setup_flops_direct(pattern))
@@ -160,10 +144,9 @@ def precalculate_g(
     across kernel backends (see :mod:`repro.kernels.precalc`).
     """
     _check_pattern(a, pattern)
-    kb = _resolve_setup_backend(backend)
+    kb = get_backend(backend)
     with trace.span(
-        "fsai.precalc", rows=pattern.n_rows, nnz=pattern.nnz,
-        backend=kb.name, threads=kb.setup_threads(),
+        "fsai.precalc", rows=pattern.n_rows, nnz=pattern.nnz, backend=kb.name,
     ):
         if trace.enabled():
             trace.add_counter(

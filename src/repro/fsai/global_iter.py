@@ -12,13 +12,9 @@ reaches the same factor by iterating on the whole-matrix equations
 where ``P_S`` is the projection onto pattern ``S``.  Every sweep is one
 or two **pattern-capped SpGEMMs** on fixed structure, so the symbolic
 phase is planned once (:func:`repro.kernels.spgemm.plan_spgemm`) and
-each sweep is pure numeric work into preallocated buffers through the
-backend's fused sweep hooks (``spgemm_numeric_into`` +
-``sweep_axpy_pair`` / ``sweep_cheb_update`` / ``sweep_ns_correction``)
-— on the numba backend the capped product and the iterate update run in
-one row-parallel pass without materialising the intermediate product
-array; the numpy defaults keep the historical expressions byte for
-byte.
+each sweep is pure numeric work: the capped products run through the
+setup backend's bound ``spgemm_op`` handles, the iterate updates are
+plain numpy expressions.
 
 Why (★) targets exactly the FSAI factor: a row ``x_i`` supported on
 ``S_i`` satisfies ``(x_i A)|_{S_i} = x_i[S_i] · A[S_i, S_i]``, so the
@@ -64,14 +60,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import trace
-from repro.fsai.frobenius import (
-    _check_diagonals,
-    _check_pattern,
-    _resolve_setup_backend,
-)
+from repro.fsai.frobenius import _check_diagonals, _check_pattern
 from repro.fsai.patterns import fsai_initial_pattern
 from repro.fsai.precond import FSAIApplication
 from repro.fsai.extended import FSAISetup
+from repro.kernels import get_backend
 from repro.kernels.spgemm import plan_spgemm
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
@@ -167,30 +160,28 @@ def global_g_minres(
     iterate over ``pattern`` — the setup wrappers normalise it.
     """
     _validate(a, pattern, sweeps, rtol)
-    kb = _resolve_setup_backend(backend)
     plan = plan_spgemm(pattern, a.pattern, cap=pattern)
+    product = get_backend(backend).spgemm_op(plan=plan)  # T(X) = P_S(XA)
     rhs = _identity_rhs(pattern)
     rhs_norm = float(np.sqrt(rhs @ rhs))
     x = _jacobi_seed(a, pattern)
-    w = np.empty(pattern.nnz)
-    r = np.empty(pattern.nnz)
     with trace.span(
         "fsai.global_iter", method="gsai_st",
         rows=pattern.n_rows, nnz=pattern.nnz, max_sweeps=sweeps,
     ):
-        kb.spgemm_numeric_into(plan, x, a.data, w)
-        np.subtract(rhs, w, out=r)
+        r = rhs - product(x, a.data)
         done = 0
         res = float(np.sqrt(r @ r))
         for _ in range(sweeps):
             if res <= rtol * rhs_norm or not np.isfinite(res):
                 break
-            kb.spgemm_numeric_into(plan, r, a.data, w)
+            w = product(r, a.data)
             denom = float(w @ w)
             if denom <= 0.0 or not np.isfinite(denom):
                 break
             alpha = float(r @ w) / denom
-            kb.sweep_axpy_pair(x, r, w, alpha)
+            x += alpha * r
+            r -= alpha * w
             done += 1
             res = float(np.sqrt(r @ r))
         trace.set_attr("sweeps", done)
@@ -228,7 +219,6 @@ def global_g_chebyshev(
     polynomial stays below 1 on ``(0, λ_lo)``); it cannot diverge.
     """
     _validate(a, pattern, sweeps, rtol)
-    kb = _resolve_setup_backend(backend)
     if lambda_hi is None:  # Gershgorin: max_i Σ_j |a_ij| ≥ λ_max(A)
         lambda_hi = _row_abs_sums(a).max() if a.n_rows else 1.0
     hi = float(lambda_hi)
@@ -238,11 +228,10 @@ def global_g_chebyshev(
             f"need 0 < lambda_lo < lambda_hi, got [{lo:g}, {hi:g}]"
         )
     plan = plan_spgemm(pattern, a.pattern, cap=pattern)
+    product = get_backend(backend).spgemm_op(plan=plan)  # T(X) = P_S(XA)
     rhs = _identity_rhs(pattern)
     rhs_norm = float(np.sqrt(rhs @ rhs))
     x = _jacobi_seed(a, pattern)
-    w = np.empty(pattern.nnz)
-    r = np.empty(pattern.nnz)
     theta = (hi + lo) / 2.0
     delta = (hi - lo) / 2.0
     sigma = theta / delta
@@ -250,8 +239,7 @@ def global_g_chebyshev(
         "fsai.global_iter", method="gsai_cheb",
         rows=pattern.n_rows, nnz=pattern.nnz, max_sweeps=sweeps,
     ):
-        kb.spgemm_numeric_into(plan, x, a.data, w)
-        np.subtract(rhs, w, out=r)
+        r = rhs - product(x, a.data)
         rho = 1.0 / sigma
         d = r / theta
         done = 0
@@ -259,13 +247,13 @@ def global_g_chebyshev(
         for _ in range(sweeps):
             if res <= rtol * rhs_norm or not np.isfinite(res):
                 break
-            kb.sweep_cheb_update(plan, d, a.data, x, r, w)
+            x += d
+            r -= product(d, a.data)
             done += 1
             res = float(np.sqrt(r @ r))
             rho_next = 1.0 / (2.0 * sigma - rho)
-            kb.sweep_scale_add(
-                d, r, rho_next * rho, 2.0 * rho_next / delta
-            )
+            d *= rho_next * rho
+            d += 2.0 * rho_next / delta * r
             rho = rho_next
         trace.set_attr("sweeps", done)
         trace.set_attr("residual", res)
@@ -299,9 +287,11 @@ def global_g_newton_schulz(
     the residual stops improving.
     """
     _validate(a, pattern, sweeps, rtol)
-    kb = _resolve_setup_backend(backend)
+    kb = get_backend(backend)
     plan_xa = plan_spgemm(pattern, a.pattern, cap=pattern)
     plan_zx = plan_spgemm(pattern, pattern, cap=pattern)
+    product_xa = kb.spgemm_op(plan=plan_xa)  # P_S(XA)
+    product_zx = kb.spgemm_op(plan=plan_zx)  # P_S(ZX)
     rhs = _identity_rhs(pattern)
     rhs_norm = float(np.sqrt(rhs @ rhs))
     diag = a.diagonal()
@@ -310,12 +300,7 @@ def global_g_newton_schulz(
     mu = float(np.max(_row_abs_sums(a) * ratios)) if a.n_rows else 1.0
     mu = max(mu, 1.0)
     x = _jacobi_seed(a, pattern, scale=2.0 / (1.0 + mu))
-    # Double-buffered iterate (the fused correction writes x_next while
-    # reading x) plus one scratch buffer for the capped Z·X product.
-    z = np.empty(pattern.nnz)
-    x_next = np.empty(pattern.nnz)
-    scratch = np.empty(pattern.nnz)
-    best = x.copy()
+    best = x
     best_res = np.inf
     with trace.span(
         "fsai.global_iter", method="gsai_ns",
@@ -324,19 +309,16 @@ def global_g_newton_schulz(
         done = 0
         res = np.inf
         for _ in range(sweeps):
-            kb.spgemm_numeric_into(plan_xa, x, a.data, z)
-            np.subtract(rhs, z, out=scratch)
-            res = float(np.linalg.norm(scratch))
+            z = product_xa(x, a.data)
+            res = float(np.linalg.norm(rhs - z))
             if res < best_res:
-                np.copyto(best, x)
-                best_res = res
+                best, best_res = x, res
             if res <= rtol * rhs_norm or not np.isfinite(res):
                 break
             if res > 2.0 * best_res:
                 # Capped map is diverging; keep the best iterate seen.
                 break
-            kb.sweep_ns_correction(plan_zx, z, x, x_next, scratch)
-            x, x_next = x_next, x
+            x = 2.0 * x - product_zx(z, x)
             done += 1
         trace.set_attr("sweeps", done)
         trace.set_attr("residual", best_res)
@@ -449,8 +431,8 @@ def setup_gsai_st(
     (threshold → pattern power → lower triangle), but ``G`` comes from
     global minimal-residual sweeps instead of per-row direct solves.
     ``setup_backend`` resolves exactly as in
-    :func:`~repro.fsai.frobenius.compute_g`: explicit name, then
-    ``$REPRO_KERNEL_BACKEND``, then ``"auto"``.
+    :func:`~repro.fsai.frobenius.compute_g`: explicit name, then an
+    active ``use_backend``, then ``$REPRO_KERNEL_BACKEND``, then numpy.
     """
     return _setup_global(
         "gsai_st", a, level=level, threshold=threshold,

@@ -13,18 +13,17 @@ Shipped backends:
 
 ``numpy`` (default)
     Cached DIA/HYB views for stencils, row-length-bucketed ELL for
-    every other matrix.
-``numba``
-    Parallel ``prange`` row loops, auto-detected; silently resolves to
-    ``numpy`` when numba is not installed.
+    every other matrix; the one implementation of every op.
 ``reference``
     The seed's allocating ``np.bincount`` formulation, kept as the
     benchmark/property-test oracle.
 
+The set-up ops (``fsai_setup``, ``fsai_precalc``, ``spgemm``) resolve
+through the same registry and the same selection order.
+
 See ``docs/kernels.md`` for the workspace contract and selection rules.
 """
 
-from repro.kernels import numba_backend
 from repro.kernels.base import KernelBackend, KernelInputWarning
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.kernels.reference import ReferenceBackend
@@ -52,4 +51,3 @@ __all__ = [
 
 register_backend("reference", ReferenceBackend)
 register_backend("numpy", NumpyBackend)
-register_backend("numba", numba_backend.make_backend)

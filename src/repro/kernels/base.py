@@ -49,7 +49,7 @@ when they are omitted:
     ``nnz``-length float buffer for the gather product ``data * x[...]``;
     the blocked handles reuse the same buffer for every row.  The
     reference backend leaves the (structure-ordered) products behind in
-    it; the numpy and numba backends ignore it — its contents are
+    it; the numpy backend ignores it — its contents are
     backend-specific, only its role is contractual.
 ``tmp``
     ``n``-length (``(k, n)`` for :meth:`fsai_apply_multi_op`) float
@@ -78,11 +78,7 @@ import numpy as np
 
 from repro import trace
 from repro.kernels.precalc import run_fsai_precalc, solve_precalc_stack
-from repro.kernels.setup import (
-    gather_group_stack,
-    run_fsai_setup,
-    solve_group_stack,
-)
+from repro.kernels.setup import run_fsai_setup, solve_group_stack
 from repro.kernels.spgemm import SpgemmPlan, plan_spgemm, spgemm_numeric
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import would be circular
@@ -207,37 +203,16 @@ class KernelBackend(ABC):
         Solves every per-row local system ``A[S_i, S_i] ĝ = e_i`` in
         identity-padded groups and returns the ``pattern.nnz`` data array
         of the normalised factor ``G`` (see :mod:`repro.kernels.setup`
-        for the grouping and determinism contract).  The driver is
-        shared; backends override :meth:`_fsai_setup_build` (the gather)
-        and :meth:`_fsai_setup_solve` (the batched Cholesky) — both must
-        preserve the canonical per-element operation order so that every
-        backend's output is byte-identical.
+        for the grouping and determinism contract).  The group loop is
+        shared; a backend overrides only :meth:`_fsai_setup_solve` (the
+        batched Cholesky), which must preserve the canonical per-element
+        operation order so that its output is byte-identical.
 
         Raises :class:`repro.errors.NotSPDError` when any local system
         is not SPD.  ``lengths`` is the caller's validated row-length
         array (recomputed when omitted).
         """
-        return run_fsai_setup(self, a, pattern, lengths=lengths)
-
-    def setup_threads(self) -> int:
-        """Worker threads :meth:`fsai_setup` will use (1 = sequential).
-
-        Stamped on ``fsai_setup`` trace spans and consulted by the
-        orchestrator's thread-budget policy; parallel backends report
-        their live thread-pool size.
-        """
-        return 1
-
-    def _fsai_setup_build(
-        self, a, low_end, indptr, indices, rows_parts, group, K,
-    ) -> np.ndarray:
-        # Default: the vectorized packed lower-triangle gather (row walk,
-        # or pair probe where the walk would examine more entries).
-        # Gathered values are exact copies of a.data (or exact +0.0), so
-        # any override is automatically bit-compatible.
-        return gather_group_stack(
-            a, low_end, indptr, indices, rows_parts, group, K,
-        )
+        return run_fsai_setup(a, pattern, self._fsai_setup_solve, lengths)
 
     def _fsai_setup_solve(self, systems: np.ndarray) -> np.ndarray:
         # Default: the canonical vectorized fused-column Cholesky +
@@ -255,17 +230,20 @@ class KernelBackend(ABC):
         as :meth:`fsai_setup` and returns the ``pattern.nnz`` data array
         of the *approximate* normalised factor used by the filtering
         step (see :mod:`repro.kernels.precalc` for the iteration
-        schedule and determinism contract).  The driver is shared;
-        backends reuse :meth:`_fsai_setup_build` for the gather and
-        override :meth:`_fsai_precalc_solve` (the masked batched CG) —
-        every backend's output is byte-identical.
+        schedule and determinism contract).  The group loop is the
+        set-up op's; a backend overrides only :meth:`_fsai_precalc_solve`
+        (the masked batched CG), byte-identical to the default.
 
         Breakdowns never raise: rows whose truncated estimate is not
         positive fall back to the Jacobi guess.  ``lengths`` is the
         caller's validated row-length array (recomputed when omitted).
         """
         return run_fsai_precalc(
-            self, a, pattern, rtol, max_iterations, lengths=lengths
+            a, pattern,
+            lambda systems: self._fsai_precalc_solve(
+                systems, rtol, max_iterations
+            ),
+            lengths,
         )
 
     def _fsai_precalc_solve(
@@ -341,92 +319,9 @@ class KernelBackend(ABC):
         self, plan: SpgemmPlan, a_data: np.ndarray, b_data: np.ndarray
     ) -> np.ndarray:
         # Default: the canonical vectorised gather-multiply-bincount
-        # pass in the plan's Gustavson order.  Overrides must either
-        # replay that accumulation order exactly (numba) or are held to
-        # 1e-13 dense agreement instead (the reference oracle).
+        # pass in the plan's Gustavson order.  The reference oracle's
+        # override is held to 1e-13 dense agreement instead.
         return spgemm_numeric(plan, a_data, b_data)
-
-    def spgemm_numeric_into(
-        self,
-        plan: SpgemmPlan,
-        a_data: np.ndarray,
-        b_data: np.ndarray,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        """Numeric phase written into a caller buffer.
-
-        The global-SAI sweep loops call this dozens of times per setup
-        with preallocated buffers; backends whose numeric kernel already
-        writes in place (numba) override it to skip the copy.  Values
-        are byte-identical to :meth:`_spgemm_numeric`.
-        """
-        np.copyto(out, self._spgemm_numeric(plan, a_data, b_data))
-        return out
-
-    # ------------------------------------------------------------------
-    # Fused global-iteration sweep updates (see repro.fsai.global_iter)
-    # ------------------------------------------------------------------
-    # Each default below is the exact numpy expression the sweep loops
-    # historically ran — overrides must stay byte-identical to it (the
-    # cross-backend identity suite in tests/kernels/test_sweep_fused.py
-    # pins this with tobytes() comparisons).  The numba backend fuses
-    # each update with the capped SpGEMM row loop so the sweep touches
-    # the pattern arrays once instead of materialising the intermediate
-    # product and re-traversing it.
-
-    def sweep_axpy_pair(
-        self,
-        x: np.ndarray,
-        r: np.ndarray,
-        w: np.ndarray,
-        alpha: float,
-    ) -> None:
-        """Minimal-residual sweep update ``x += αr; r -= αw`` in place."""
-        x += alpha * r
-        r -= alpha * w
-
-    def sweep_scale_add(
-        self, d: np.ndarray, r: np.ndarray, c0: float, c1: float
-    ) -> None:
-        """Chebyshev direction update ``d = c0·d + c1·r`` in place."""
-        d *= c0
-        d += c1 * r
-
-    def sweep_cheb_update(
-        self,
-        plan: SpgemmPlan,
-        d: np.ndarray,
-        b_data: np.ndarray,
-        x: np.ndarray,
-        r: np.ndarray,
-        w: np.ndarray,
-    ) -> None:
-        """Chebyshev sweep core ``x += d; r -= P_S(D·A)`` (``w`` scratch).
-
-        ``plan`` must be the factor-equation plan (a/out patterns are
-        both the factor pattern ``S``); ``b_data`` is ``A``'s data.
-        """
-        x += d
-        self.spgemm_numeric_into(plan, d, b_data, w)
-        r -= w
-
-    def sweep_ns_correction(
-        self,
-        plan: SpgemmPlan,
-        z: np.ndarray,
-        x: np.ndarray,
-        x_next: np.ndarray,
-        scratch: np.ndarray,
-    ) -> np.ndarray:
-        """Newton–Schulz correction ``x_next = 2x − P_S(Z·X)``.
-
-        ``x_next`` must not alias ``x`` or ``scratch``; all three share
-        the factor pattern's data layout.
-        """
-        self.spgemm_numeric_into(plan, z, x, scratch)
-        np.multiply(x, 2.0, out=x_next)
-        np.subtract(x_next, scratch, out=x_next)
-        return x_next
 
     # ------------------------------------------------------------------
     # Implementation hooks (operands pre-validated, ``out`` allocated)
@@ -439,7 +334,7 @@ class KernelBackend(ABC):
 
     def _fsai_apply(self, g, r, out, tmp, scratch) -> np.ndarray:
         # Default: the two products through ``tmp``, ``G r`` then
-        # ``G^T t`` scattered through G's own storage; numba fuses them.
+        # ``G^T t`` scattered through G's own storage.
         self._spmv(g, r, tmp, scratch)
         return self._spmv_t(g, tmp, out, scratch)
 

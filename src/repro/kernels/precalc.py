@@ -4,8 +4,9 @@ The §5 precalculation runs a *truncated* CG (loose ``rtol``, capped
 iteration count) on every local system ``A[S_i, S_i] ĝ = e_i`` to obtain
 order-of-magnitude estimates of the factor entries — the cheap half of
 Algorithm 2 that exists purely to classify weak entries before
-filtering.  This op reuses the ``fsai_setup`` layout wholesale: the same
-packed lower-triangle gather (the bounded row walk of
+filtering.  This op runs the ``fsai_setup`` group loop
+(:func:`repro.kernels.setup.solve_local_systems`) with a different
+solve: the same packed lower-triangle gather (the bounded row walk of
 :func:`repro.kernels.setup.gather_group_stack`, which falls back to
 probing pairs by binary search where walking ``A``'s rows would examine
 more entries), the same identity-padded row-length groups from
@@ -15,9 +16,9 @@ batched CG iteration loop per group with per-system convergence masking.
 
 Determinism contract
 --------------------
-Every backend must produce **byte-identical** data.  The canonical
-iteration schedule is defined by :func:`solve_precalc_stack` and replayed
-scalar-for-scalar by the reference and numba backends:
+The numpy and reference backends produce **byte-identical** data.  The
+canonical iteration schedule is defined by :func:`solve_precalc_stack`
+and replayed scalar-for-scalar by the reference backend:
 
 * **Sequential reductions via strided einsum** — on a batch-last stack,
   ``np.einsum('jis,js->is', full, d)`` (the matvec) and
@@ -77,7 +78,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import trace
-from repro.kernels.setup import lower_ends, plan_groups
+from repro.kernels.setup import bad_pivots, solve_local_systems
 
 __all__ = [
     "symmetrize",
@@ -183,63 +184,29 @@ def solve_precalc_stack(
     return x
 
 
-def run_fsai_precalc(
-    backend, a, pattern, rtol: float, max_iterations: int, lengths=None
-) -> np.ndarray:
-    """Truncated-CG estimates for every local system of ``pattern``.
+def run_fsai_precalc(a, pattern, solve, lengths=None) -> np.ndarray:
+    """§5 precalc: :func:`~repro.kernels.setup.solve_local_systems` with
+    the truncated-CG ``solve``.
 
-    The shared driver behind :meth:`KernelBackend.fsai_precalc`: plans
-    the same groups as the setup op, reuses the backend's
-    ``_fsai_setup_build`` gather hook (the gathered stacks are already
-    bit-identical across backends), calls ``_fsai_precalc_solve`` per
-    group and normalises ``g = ĝ / sqrt(ĝ_i)`` centrally.  Rows whose
+    The driver behind :meth:`KernelBackend.fsai_precalc`.  Rows whose
     truncated estimate has a non-positive or non-finite diagonal fall
     back to the Jacobi guess — zeros except ``1/sqrt(a_ii)`` (or ``1.0``
     when ``a_ii ≤ 0``) in the diagonal slot — and are counted as
     ``fsai.precalc_fallback_rows`` while tracing.  Never raises on
     breakdown; §5 only needs a conservative magnitude estimate.
-
-    ``lengths`` is the validated row-length array from
-    ``repro.fsai.frobenius._check_diagonals`` (recomputed when omitted).
     Returns the ``pattern.nnz`` data array aligned with the pattern.
     """
-    indptr = pattern.indptr
-    if lengths is None:
-        lengths = np.diff(indptr)
-    nnz = int(indptr[-1])
-    data = np.empty(nnz)
-    diag = a.diagonal()
-    low_end = lower_ends(a)
-    fallback_rows = 0
-    sizes, counts = np.unique(lengths, return_counts=True)
-    for group in plan_groups(sizes.tolist(), counts.tolist()):
-        K = group[-1]
-        rows_parts = [np.flatnonzero(lengths == k) for k in group]
-        systems = backend._fsai_setup_build(
-            a, low_end, indptr, pattern.indices, rows_parts, group, K,
-        )
-        sol = backend._fsai_precalc_solve(systems, rtol, max_iterations)
-        piv = sol[-1]
-        good = (piv > 0) & np.isfinite(piv)
-        fallback_rows += len(good) - int(np.count_nonzero(good))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            norm = sol / np.sqrt(piv)
-        r0 = 0
-        for k, rows in zip(group, rows_parts):
-            r1 = r0 + len(rows)
-            vals = norm[K - k:, r0:r1].T
-            g = good[r0:r1]
-            if not g.all():
-                vals = vals.copy()
-                fb_diag = diag[rows[~g]]
-                fb = np.ones(len(fb_diag))
-                positive = fb_diag > 0
-                fb[positive] = 1.0 / np.sqrt(fb_diag[positive])
-                vals[~g] = 0.0
-                vals[~g, -1] = fb
-            span = indptr[rows][:, None] + np.arange(k)
-            data[span] = vals
-            r0 = r1
-    if fallback_rows and trace.enabled():
-        trace.add_counter("fsai.precalc_fallback_rows", fallback_rows)
+    data, pivots = solve_local_systems(a, pattern, solve, lengths)
+    bad = bad_pivots(pivots)
+    if len(bad):
+        diag = a.diagonal()[bad]
+        fallback = np.ones(len(bad))
+        positive = diag > 0
+        fallback[positive] = 1.0 / np.sqrt(diag[positive])
+        rows = np.zeros(len(pivots), dtype=bool)
+        rows[bad] = True
+        data[np.repeat(rows, np.diff(pattern.indptr))] = 0.0
+        data[pattern.indptr[bad + 1] - 1] = fallback
+        if trace.enabled():
+            trace.add_counter("fsai.precalc_fallback_rows", len(bad))
     return data

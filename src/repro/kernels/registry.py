@@ -1,20 +1,14 @@
 """Backend registry: name → :class:`~repro.kernels.base.KernelBackend`.
 
-Selection order for :func:`get_backend` with no argument:
+Selection order for :func:`get_backend` with no argument — for the
+solve-side kernels and the set-up ops alike:
 
 1. an active :func:`use_backend` override (tests, benchmarks);
 2. the ``REPRO_KERNEL_BACKEND`` environment variable;
 3. the default ``"numpy"`` backend.
 
-``"auto"`` resolves to the fastest available backend (``numba`` when
-importable, otherwise ``numpy``).  Requesting ``"numba"`` on a machine
-without numba silently falls back to ``numpy`` — optional acceleration
-must never become a hard dependency — while a genuinely unknown name
-raises :class:`~repro.errors.ConfigurationError`.
-
-Backends register lazily: a factory may return ``None`` to signal "not
-available on this machine", which keeps it out of
-:func:`available_backends` without failing imports.
+An unknown name raises :class:`~repro.errors.ConfigurationError`.
+Backends are instantiated lazily, on first request, and cached.
 """
 
 from __future__ import annotations
@@ -41,7 +35,7 @@ ENV_VAR = "REPRO_KERNEL_BACKEND"
 #: Fallback backend: always available, pure NumPy.
 DEFAULT_BACKEND = "numpy"
 
-BackendFactory = Callable[[], Optional[KernelBackend]]
+BackendFactory = Callable[[], KernelBackend]
 
 _factories: Dict[str, BackendFactory] = {}
 _instances: Dict[str, KernelBackend] = {}
@@ -49,32 +43,16 @@ _override: Optional[KernelBackend] = None
 
 
 def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register ``factory`` under ``name`` (lazily instantiated, cached).
-
-    The factory returns ``None`` when the backend cannot run here (e.g.
-    numba is not installed); such backends resolve through the silent
-    fallback instead of erroring.
-    """
+    """Register ``factory`` under ``name`` (lazily instantiated, cached)."""
     key = name.strip().lower()
     if key in _factories:
         raise ConfigurationError(f"kernel backend {key!r} already registered")
     _factories[key] = factory
 
 
-def _instance(name: str) -> Optional[KernelBackend]:
-    cached = _instances.get(name)
-    if cached is not None:
-        return cached
-    factory = _factories[name]
-    backend = factory()
-    if backend is not None:
-        _instances[name] = backend
-    return backend
-
-
 def available_backends() -> Tuple[str, ...]:
-    """Names of every backend that can actually run on this machine."""
-    return tuple(n for n in _factories if _instance(n) is not None)
+    """Names of every registered backend."""
+    return tuple(_factories)
 
 
 def get_backend(
@@ -89,25 +67,14 @@ def get_backend(
         env = os.environ.get(ENV_VAR)
         name = env if env else DEFAULT_BACKEND
     key = name.strip().lower()
-    if key == "auto":
-        fast = _factories.get("numba")
-        backend = _instance("numba") if fast is not None else None
-        return backend if backend is not None else _require(DEFAULT_BACKEND)
-    if key not in _factories:
-        raise ConfigurationError(
-            f"unknown kernel backend {key!r}; expected one of "
-            f"{tuple(_factories)} or 'auto'"
-        )
-    backend = _instance(key)
-    if backend is None:  # registered but unavailable here — silent fallback
-        return _require(DEFAULT_BACKEND)
-    return backend
-
-
-def _require(name: str) -> KernelBackend:
-    backend = _instance(name)
-    if backend is None:  # pragma: no cover - numpy backend always constructs
-        raise ConfigurationError(f"kernel backend {name!r} failed to initialise")
+    backend = _instances.get(key)
+    if backend is None:
+        if key not in _factories:
+            raise ConfigurationError(
+                f"unknown kernel backend {key!r}; expected one of "
+                f"{tuple(_factories)}"
+            )
+        backend = _instances[key] = _factories[key]()
     return backend
 
 

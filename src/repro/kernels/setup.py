@@ -17,8 +17,8 @@ data:
   ``A``, say) binary-searches each pair in the matrix's sorted
   :meth:`~repro.sparse.csr.CSRMatrix.entry_keys` instead, so the gather
   never examines more than the pair probe would.  Gathered values are
-  exact copies of ``A``'s data (or an exact ``+0.0``), so *how* a backend
-  gathers cannot change a single bit.
+  exact copies of ``A``'s data (or an exact ``+0.0``), so which of the
+  two gathers runs cannot change a single bit.
 * **Identity-padded grouping** — row-length buckets are greedily merged
   (:func:`plan_groups`) until a group holds ``MIN_GROUP_ROWS`` systems or
   padding would exceed ``PAD_CAP``; smaller systems sit in the bottom-right
@@ -34,10 +34,12 @@ data:
 
 The factorisation itself is a fused-column Cholesky plus a column-oriented
 back-substitution (:func:`solve_group_stack`), written so its per-element
-operation sequence is identical whether executed as NumPy vector ops, as
-scalar Python (the reference oracle) or as a numba ``prange`` kernel —
-that is the determinism contract the cross-backend property tests pin
-down with ``tobytes()`` equality.
+operation sequence is identical whether executed as NumPy vector ops or
+as scalar Python (the reference oracle) — that is the determinism
+contract the cross-backend property tests pin down with ``tobytes()``
+equality.  The group loop itself — plan, gather, solve, normalise,
+scatter — is written once (:func:`solve_local_systems`) and shared with
+the §5 precalculation op, which passes its truncated CG as the solve.
 
 Failure handling is deferred, not masked: the solver runs under IEEE
 semantics (``sqrt`` of a negative pivot yields NaN, division by a zero
@@ -69,6 +71,8 @@ __all__ = [
     "lower_ends",
     "gather_group_stack",
     "solve_group_stack",
+    "solve_local_systems",
+    "bad_pivots",
     "run_fsai_setup",
 ]
 
@@ -261,40 +265,40 @@ def solve_group_stack(systems: np.ndarray) -> np.ndarray:
     return x
 
 
-def run_fsai_setup(backend, a, pattern, lengths=None) -> np.ndarray:
-    """Solve every local system of ``pattern`` and return normalised data.
+def solve_local_systems(a, pattern, solve, lengths=None):
+    """Solve every local system of ``pattern`` and normalise the solutions.
 
-    The shared driver behind :meth:`KernelBackend.fsai_setup`: plans the
-    groups, calls the backend's ``_fsai_setup_build`` /
-    ``_fsai_setup_solve`` hooks per group, normalises
-    ``g = ĝ / sqrt(ĝ_i)`` centrally (so the normalisation arithmetic is
-    one implementation for all backends) and raises
-    :class:`~repro.errors.NotSPDError` naming the first row whose pivot
-    is non-positive or non-finite.
+    The one group loop behind both set-up ops: plan the groups, gather
+    each group's ``(K, K, m)`` stack (:func:`gather_group_stack`), solve
+    it with ``solve`` (``stack -> (K, m)`` solutions), normalise
+    ``g = ĝ / sqrt(ĝ_i)`` and scatter the rows into the pattern's data
+    layout.  :func:`run_fsai_setup` passes the Cholesky,
+    :func:`repro.kernels.precalc.run_fsai_precalc` the truncated CG.
 
     ``lengths`` is the validated row-length array from
     ``repro.fsai.frobenius._check_diagonals`` (recomputed when omitted;
     callers are expected to have validated the diagonal-last invariant).
-    Returns the ``pattern.nnz`` data array aligned with the pattern.
+    Returns ``(data, pivots)``: the ``pattern.nnz`` data array aligned
+    with the pattern, and each row's ``ĝ_i``.  A row whose pivot is
+    non-positive or non-finite holds whatever IEEE arithmetic made of
+    it; the caller decides what such a row means.
     """
     indptr = pattern.indptr
     if lengths is None:
         lengths = np.diff(indptr)
-    n_rows = len(indptr) - 1
-    nnz = int(indptr[-1])
-    data = np.empty(nnz)
-    pivots = np.empty(n_rows)
+    data = np.empty(int(indptr[-1]))
+    pivots = np.empty(len(indptr) - 1)
     low_end = lower_ends(a)
     sizes, counts = np.unique(lengths, return_counts=True)
     for group in plan_groups(sizes.tolist(), counts.tolist()):
         K = group[-1]
         rows_parts = [np.flatnonzero(lengths == k) for k in group]
-        systems = backend._fsai_setup_build(
+        systems = gather_group_stack(
             a, low_end, indptr, pattern.indices, rows_parts, group, K,
         )
-        sol = backend._fsai_setup_solve(systems)  # (K, m)
+        sol = solve(systems)  # (K, m)
         piv = sol[-1]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):
             norm = sol / np.sqrt(piv)
         r0 = 0
         for k, rows in zip(group, rows_parts):
@@ -303,9 +307,26 @@ def run_fsai_setup(backend, a, pattern, lengths=None) -> np.ndarray:
             span = indptr[rows][:, None] + np.arange(k)
             data[span] = norm[K - k:, r0:r1].T
             r0 = r1
-    bad = ~((pivots > 0) & np.isfinite(pivots))
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
+    return data, pivots
+
+
+def bad_pivots(pivots: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose pivot is non-positive or non-finite."""
+    return np.flatnonzero(~((pivots > 0) & np.isfinite(pivots)))
+
+
+def run_fsai_setup(a, pattern, solve, lengths=None) -> np.ndarray:
+    """Exact set-up: :func:`solve_local_systems` with the Cholesky ``solve``.
+
+    The driver behind :meth:`KernelBackend.fsai_setup`.  Raises
+    :class:`~repro.errors.NotSPDError` naming the first row whose pivot
+    is non-positive or non-finite.  Returns the ``pattern.nnz`` data
+    array aligned with the pattern.
+    """
+    data, pivots = solve_local_systems(a, pattern, solve, lengths)
+    bad = bad_pivots(pivots)
+    if len(bad):
+        i = int(bad[0])
         raise NotSPDError(
             f"row {i}: non-positive diagonal solution {pivots[i]:.3e} "
             "(matrix restriction not SPD)"

@@ -9,9 +9,9 @@ module therefore splits SpGEMM the classic two-pass way:
   ``a_ik · b_kj`` the multiplication generates, map each one to its
   output slot, and return the result :class:`~repro.sparse.pattern.Pattern`
   together with the three gather/scatter index arrays;
-* **numeric** (:func:`spgemm_numeric`, or a backend's override of
-  ``_spgemm_numeric``) — pure data-array arithmetic over a plan, with no
-  index construction at all.
+* **numeric** (:func:`spgemm_numeric`, or the reference oracle's
+  override of ``_spgemm_numeric``) — pure data-array arithmetic over a
+  plan, with no index construction at all.
 
 A plan is immutable and reusable: backends bind it into a handle
 (``KernelBackend.spgemm_op``) so iterative callers pay the symbolic cost
@@ -32,11 +32,10 @@ Products are enumerated in Gustavson order: for output entry ``(i, j)``,
 the contributions ``a_ik · b_kj`` are accumulated in ascending order of
 ``k``'s position within row ``i`` of ``A``.  Each product is rounded once
 (one multiply) and added into a zero-initialised accumulator in that
-fixed order, so any two numeric phases that honour the plan's ordering —
-the vectorised ``np.bincount`` default and the numba row-parallel kernel
-— produce byte-identical data arrays.  The reference backend's dense
-oracle deliberately does *not* honour it (it re-derives the result from
-dense matmul) and is held to ``1e-13`` agreement instead.
+fixed order, so the result is a pure function of the plan and the data.
+The reference backend's dense oracle deliberately does *not* honour it
+(it re-derives the result from dense matmul) and is held to ``1e-13``
+agreement instead.
 """
 
 from __future__ import annotations
@@ -181,8 +180,7 @@ def spgemm_numeric(
     One gather-multiply forms every product (rounded once each), then a
     single sequential ``np.bincount`` accumulates them into the output
     slots — ascending product index, which is exactly the plan's
-    Gustavson order, so the result is the contract the numba kernel must
-    (and does) reproduce bit for bit.
+    Gustavson order.
     """
     products = a_data[plan.a_sel] * b_data[plan.b_sel]
     return np.bincount(

@@ -1,19 +1,17 @@
-"""Thread-budget policy for multi-process campaign runs.
+"""Thread-budget policy for multi-process campaign and serving runs.
 
-A campaign worker pool multiplies two levels of parallelism: ``jobs``
-worker *processes*, each of which may run a threaded kernel backend (the
-numba ``prange`` kernels honour ``NUMBA_NUM_THREADS``).  Left alone,
-``jobs × default-thread-pool`` oversubscribes the machine — every worker
-would size its pool to *all* cores.  The policy here is the obvious
-ceiling: ``workers × threads ≤ cores``, i.e. each worker gets
-``cores // jobs`` threads (at least one).
+A worker pool multiplies two levels of parallelism: ``jobs`` worker
+*processes*, each of which may run a threaded runtime (an OpenMP-backed
+BLAS honours ``OMP_NUM_THREADS``).  Left alone, ``jobs ×
+default-thread-pool`` oversubscribes the machine — every worker would
+size its pool to *all* cores.  The policy here is the obvious ceiling:
+``workers × threads ≤ cores``, i.e. each worker gets ``cores // jobs``
+threads (at least one).
 
 The orchestrator computes the budget once in the parent
 (:func:`thread_budget_env`) and ships it to each worker, which applies it
-(:func:`apply_thread_budget`) before running any case: the env vars cover
-freshly imported runtimes, and the best-effort ``numba.set_num_threads``
-call covers the fork-inherited numba whose thread layer ignored the env
-because it was already initialised in the parent.
+(:func:`apply_thread_budget`) before running any case, so it bounds every
+runtime the worker initialises afterwards.
 """
 
 from __future__ import annotations
@@ -28,10 +26,9 @@ __all__ = [
     "apply_thread_budget",
 ]
 
-#: Environment variables the budget is exported through: numba's own knob
-#: plus OpenMP's, which covers numba's OMP thread layer and any
-#: OpenMP-backed BLAS the worker links.
-THREAD_ENV_VARS = ("NUMBA_NUM_THREADS", "OMP_NUM_THREADS")
+#: Environment variables the budget is exported through: OpenMP's, which
+#: covers any OpenMP-backed BLAS the worker links.
+THREAD_ENV_VARS = ("OMP_NUM_THREADS",)
 
 
 def threads_per_worker(jobs: int, *, cores: Optional[int] = None) -> int:
@@ -48,20 +45,6 @@ def thread_budget_env(jobs: int, *, cores: Optional[int] = None) -> Dict[str, st
 
 
 def apply_thread_budget(env: Dict[str, str]) -> None:
-    """Apply a budget inside a worker process.
-
-    Sets the env vars (authoritative for anything imported after this
-    point) and, when numba is importable, resizes its live thread pool —
-    a forked worker inherits the parent's already-initialised threading
-    layer, which only ``numba.set_num_threads`` can shrink.  Failures of
-    the live resize are swallowed: the env vars still bound any runtime
-    initialised later, and a missing/unconfigurable numba must never
-    break a campaign.
-    """
+    """Apply a budget inside a worker process: set the env vars, which
+    bound every runtime initialised after this point."""
     os.environ.update(env)
-    try:
-        import numba
-
-        numba.set_num_threads(int(env.get("NUMBA_NUM_THREADS", "1")))
-    except Exception:  # noqa: BLE001 - best effort by design
-        pass

@@ -24,7 +24,7 @@ recorded.  Routing is deterministic while the pool size is fixed, so a
 retried request reaches the replacement worker.
 
 Thread budget: with ``W`` workers each worker gets
-``threads_per_worker(W)`` numba/OMP threads (see
+``threads_per_worker(W)`` OpenMP threads (see
 :mod:`repro.parallel.threadbudget`) — serve workers now count against
 the same ``workers x threads <= cores`` envelope as campaign workers.
 """

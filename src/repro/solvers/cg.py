@@ -206,9 +206,11 @@ def _pcg(
         spmv_op(d, q)
         dq = dot(d, q)
         flops += spmv_flops + 2 * n
-        if dq <= 0:
-            # Indefinite or numerically broken-down system: stop with the
-            # current iterate rather than silently diverging.
+        if not dq > 0 or rho == 0:
+            # Breakdown: an indefinite system (d·q <= 0), a NaN d·q, or
+            # r·z = 0 on a nonzero residual (a preconditioner that is not
+            # SPD), where no step makes progress and β would be 0/0.  Stop
+            # with the current iterate rather than diverge or divide by 0.
             trace.add_counter("cg.breakdowns")  # no-op unless tracing is on
             iterations -= 1
             break
@@ -274,12 +276,12 @@ def pcg_multi(
     byte-identical to the single-vector product of that row, and each
     row's dots are the BLAS dot :func:`pcg` takes on that row alone.  A
     row's iterate and iteration count therefore never depend on which
-    other rows share its block, and on the numpy and reference backends
-    every :class:`SolveResult` field of a row equals :func:`pcg`'s bit
-    for bit, ``flops`` included (numba's fused ``pcg_step`` reduces
-    ``r·r`` in its own order).  The block holds only rows still
-    iterating: a row that converges or breaks down (``d·q <= 0``) leaves
-    it in the iteration it stops, so finished rows cost nothing after.
+    other rows share its block, and on both shipped backends (numpy and
+    reference) every :class:`SolveResult` field of a row equals
+    :func:`pcg`'s bit for bit, ``flops`` included.  The block holds only
+    rows still iterating: a row that converges or breaks down (as in
+    :func:`pcg`: ``d·q`` not positive, or ``r·z = 0``) leaves it in the
+    iteration it stops, so finished rows cost nothing after.
 
     Parameters match :func:`pcg` with ``b`` (and optional ``x0``) shaped
     ``(k, n)``; a 1-D ``b`` raises — use :func:`pcg` for a single vector.
@@ -450,11 +452,11 @@ def _pcg_multi(
         q = q_buf[: len(cols)]
         spmm_op(d, q)
         dq = _row_dots(d, q)
-        broken = dq <= 0.0
+        broken = ~(dq > 0.0) | (rho == 0.0)
         if broken.any():
-            # Indefinite or numerically broken down: pcg's early break, per
-            # row.  The row keeps its previous iterate; this iteration's
-            # product and d·q are counted, as pcg counts them.
+            # pcg's breakdown test, per row (a NaN d·q included).  The row
+            # keeps its previous iterate; this iteration's product and d·q
+            # are counted, as pcg counts them.
             trace.add_counter("cg.breakdowns", int(broken.sum()))
             keep = leave(broken, it - 1, spmv_flops + 2 * n)
             cols, x, r, d, q = cols[keep], x[keep], r[keep], d[keep], q[keep]

@@ -3,7 +3,7 @@
 :class:`CSRMatrix` is the computational workhorse of the library: the CG
 solver, the FSAI preconditioner application and the cache simulator all
 consume CSR.  The kernels themselves live in :mod:`repro.kernels` — a
-pluggable backend registry (``numpy``/``numba``/``reference``) —
+pluggable backend registry (``numpy``/``reference``) —
 :meth:`matvec`/:meth:`rmatvec` validate shapes, then delegate to the
 active backend.  The matrix caches the structure views the backends need
 (row-id expansion, the diagonal and row-length-bucketed ELL views of

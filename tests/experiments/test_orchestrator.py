@@ -386,16 +386,15 @@ def thread_env_probe_runner(case, config):
     """Record the thread-budget env exactly as the worker received it."""
     result = _fake_run(case, config)
     result.runs[("fsaie_full", 0.0)].method = (
-        f"numba={os.environ.get('NUMBA_NUM_THREADS', '<unset>')}"
-        f",omp={os.environ.get('OMP_NUM_THREADS', '<unset>')}"
+        f"omp={os.environ.get('OMP_NUM_THREADS', '<unset>')}"
     )
     return result
 
 
 class TestThreadBudget:
     def test_workers_receive_thread_budget_env(self):
-        """Every worker sees NUMBA_NUM_THREADS/OMP_NUM_THREADS set to the
-        parent-computed budget (cores // jobs, at least 1)."""
+        """Every worker sees OMP_NUM_THREADS set to the parent-computed
+        budget (cores // jobs, at least 1)."""
         from repro.parallel.threadbudget import threads_per_worker
 
         jobs = 2
@@ -408,7 +407,7 @@ class TestThreadBudget:
         for r in outcome.campaign.results:
             assert (
                 r.runs[("fsaie_full", 0.0)].method
-                == f"numba={expected},omp={expected}"
+                == f"omp={expected}"
             )
 
     def test_policy_never_oversubscribes(self):

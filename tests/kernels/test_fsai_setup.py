@@ -29,6 +29,7 @@ from repro.fsai.frobenius import (
     precalculate_g,
     resolve_setup_backend,
 )
+from repro.fsai.extended import setup_fsai, setup_fsaie_sp
 from repro.fsai.fillin import extend_pattern_cache_friendly
 from repro.fsai.patterns import fsai_initial_pattern
 from repro.kernels import ENV_VAR, available_backends, get_backend, use_backend
@@ -428,18 +429,59 @@ def test_not_spd_names_first_bad_row(backend_name):
         get_backend(backend_name).fsai_setup(a, pattern)
 
 
+def _setup_span_backends(**setup_backend):
+    """``(span, backend)`` of the set-up op spans of one FSAI and one
+    FSAIE(sp) set-up on ``poisson2d(8)``."""
+    a = poisson2d(8)
+    with trace.collecting() as collector:
+        setup_fsai(a, **setup_backend)
+        setup_fsaie_sp(a, ArrayPlacement.aligned(64), **setup_backend)
+    return {
+        (s.name, s.attrs["backend"])
+        for root in collector.roots for s in root.iter_spans()
+        if s.name in ("fsai.frobenius", "fsai.precalc")
+    }
+
+
 class TestResolution:
+    """Set-up resolves like the solves: explicit > use_backend > env > numpy."""
+
     def test_default_resolves_through_registry(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_setup_backend() == get_backend("auto").name
+        assert resolve_setup_backend() == get_backend().name == "numpy"
 
     def test_env_var_wins_over_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert resolve_setup_backend() == "numpy"
+        """The env var beats the numpy default."""
+        monkeypatch.setenv(ENV_VAR, "reference")
+        assert resolve_setup_backend() == "reference"
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")
         assert resolve_setup_backend("reference") == "reference"
+
+    def test_use_backend_reaches_the_setup_ops(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "numpy")
+        with use_backend("reference"):
+            assert resolve_setup_backend() == "reference"
+            spans = _setup_span_backends()
+        assert spans == {
+            ("fsai.frobenius", "reference"), ("fsai.precalc", "reference"),
+        }
+
+    def test_explicit_beats_use_backend_and_env(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "reference")
+        with use_backend("reference"):
+            assert resolve_setup_backend("numpy") == "numpy"
+            spans = _setup_span_backends(setup_backend="numpy")
+        assert spans == {("fsai.frobenius", "numpy"), ("fsai.precalc", "numpy")}
+
+    def test_auto_rejected(self):
+        """``"auto"`` is an unknown name for set-up as for the solves."""
+        with pytest.raises(ConfigurationError):
+            resolve_setup_backend("auto")
+        with pytest.raises(ConfigurationError):
+            compute_g(poisson2d(4), _tril_pattern_of(poisson2d(4)),
+                      backend="auto")
 
     def test_bucketed_rejected(self):
         """The removed LAPACK path's name is not a registry backend."""
@@ -453,10 +495,6 @@ class TestResolution:
         with pytest.raises(ConfigurationError):
             compute_g(poisson2d(4), _tril_pattern_of(poisson2d(4)),
                       backend="magic")
-
-    def test_setup_threads_reported(self):
-        assert get_backend("numpy").setup_threads() == 1
-        assert get_backend("reference").setup_threads() == 1
 
 
 def test_default_compute_g_equals_direct_op():

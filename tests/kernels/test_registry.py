@@ -1,4 +1,4 @@
-"""Registry behavior: selection order, fallbacks, overrides (ISSUE 4)."""
+"""Registry behavior: selection order, unknown names, overrides."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.kernels import (
     register_backend,
     use_backend,
 )
-from repro.kernels.numba_backend import NUMBA_AVAILABLE
 
 
 class TestSelection:
@@ -46,31 +45,19 @@ class TestSelection:
     def test_instances_are_cached(self):
         assert get_backend("numpy") is get_backend("numpy")
 
-
-class TestOptionalNumba:
-    """`numba` must accelerate when present and vanish silently when not."""
-
-    def test_numba_resolves_somewhere(self):
-        backend = get_backend("numba")
-        expected = "numba" if NUMBA_AVAILABLE else "numpy"
-        assert backend.name == expected
-
-    def test_auto_picks_fastest_available(self):
-        backend = get_backend("auto")
-        expected = "numba" if NUMBA_AVAILABLE else "numpy"
-        assert backend.name == expected
-
     def test_availability_listing(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "reference" in names
-        assert ("numba" in names) == NUMBA_AVAILABLE
+        assert set(available_backends()) == {"numpy", "reference"}
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="needs a numba-free env")
-    def test_missing_numba_falls_back_silently(self):
-        # The ISSUE 4 acceptance check: requesting the optional backend on
-        # a machine without it must not raise, warn, or change semantics.
-        assert get_backend("numba").name == "numpy"
+
+class TestRetiredNames:
+    """``"auto"`` is an unknown name like any other, explicit or from the env."""
+
+    def test_auto_is_unknown(self, monkeypatch):
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            get_backend("auto")
+        monkeypatch.setenv(ENV_VAR, "auto")
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            get_backend()
 
 
 class TestOverride:
@@ -104,15 +91,3 @@ class TestRegistration:
     def test_duplicate_name_rejected(self):
         with pytest.raises(ConfigurationError, match="already registered"):
             register_backend("numpy", lambda: None)
-
-    def test_unavailable_factory_stays_out_of_listing(self):
-        # A factory returning None marks "registered but cannot run here".
-        register_backend("test-ghost", lambda: None)
-        try:
-            assert "test-ghost" not in available_backends()
-            assert get_backend("test-ghost").name == DEFAULT_BACKEND
-        finally:
-            from repro.kernels import registry
-
-            registry._factories.pop("test-ghost", None)
-            registry._instances.pop("test-ghost", None)

@@ -3,9 +3,10 @@
 Contract under test (see ``src/repro/kernels/spgemm.py``):
 
 * every backend agrees with the dense product to 1e-13;
-* the numpy and numba numeric phases are **byte-identical** (both honour
-  the plan's Gustavson accumulation order; the reference backend's dense
-  oracle is exempt and held to the tolerance only);
+* every backend whose numeric phase honours the plan's Gustavson
+  accumulation order (numpy) gives **byte-identical** data; the
+  reference backend's dense oracle is exempt and held to the tolerance
+  only;
 * a capped product's output structure is the cap *itself* — products
   landing outside are dropped, cap entries no product reaches hold an
   explicit ``0.0``;

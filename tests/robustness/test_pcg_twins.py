@@ -8,11 +8,12 @@ draws the systems that stress that promise: small SPD matrices,
 indefinite ones (so rows break down on ``d·q <= 0``), diagonal ones whose
 unit right-hand sides converge or break down in the first iteration,
 diagonal scalings across 1e±6, ``n`` from 1 to 40, zero or nonzero
-starting guesses (also mixed within a block), no, Jacobi or FSAI
-preconditioning, and blocks of 1 to 6 rows in random order, so rows that
-converge, break down and run out of budget sit side by side.  Every
-outcome is finite, or a typed :mod:`repro.errors` exception (a Jacobi
-or FSAI setup refusing an indefinite matrix).
+starting guesses (also mixed within a block), no, Jacobi, FSAI or a
+skew preconditioner (``r·z = 0``, so rows break down on it), and blocks
+of 1 to 6 rows in random order, so rows that converge, break down and
+run out of budget sit side by side.  Every outcome is finite, or a
+typed :mod:`repro.errors` exception (a Jacobi or FSAI setup refusing an
+indefinite matrix).
 """
 
 import math
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import trace
 from repro.errors import ReproError
 from repro.fsai.extended import setup_fsai
 from repro.kernels import use_backend
@@ -74,11 +76,25 @@ def twins_cases(draw):
         if start == "mixed":
             x0[rng.random(k) < 0.5] = 0.0
     solver = dict(
-        preconditioner=draw(st.sampled_from([None, "jacobi", "fsai"])),
+        preconditioner=draw(st.sampled_from([None, "jacobi", "fsai", "skew"])),
         rtol=draw(st.sampled_from([1e-8, 1e-4])),
         max_iterations=draw(st.sampled_from([0, 1, 2, 5, 100])),
     )
     return a, b, x0, solver
+
+
+class SkewPreconditioner:
+    """``z = (r₁, −r₀, r₃, −r₂, …)``: not SPD, and ``r·z = 0`` for every ``r``."""
+
+    def apply(self, r):
+        z = np.zeros_like(r)
+        m = len(r) - len(r) % 2
+        z[0:m:2] = r[1:m:2]
+        z[1:m:2] = -r[0:m:2]
+        return z
+
+    def flops_per_application(self):
+        return 0
 
 
 def _preconditioner(name, a):
@@ -86,6 +102,8 @@ def _preconditioner(name, a):
         return JacobiPreconditioner(a)
     if name == "fsai":
         return setup_fsai(a).application
+    if name == "skew":
+        return SkewPreconditioner()
     return None
 
 
@@ -136,3 +154,23 @@ def test_one_row_converges_as_another_breaks_down(max_iterations):
     assert [c.iterations for c in multi.columns] == [1, 0, min(max_iterations, 2)]
     solver = dict(preconditioner=None, rtol=1e-8, max_iterations=max_iterations)
     _assert_rows_are_pcg(a, b, None, solver)
+
+
+def test_zero_rz_is_a_counted_breakdown():
+    """``r·z = 0`` stops both solvers as a breakdown with a finite ``x``.
+
+    Under the skew preconditioner ``pcg`` used to divide 0/0 for ``β``
+    (``ZeroDivisionError``) and ``pcg_multi`` ran its budget out on a NaN
+    iterate.
+    """
+    a = csr_from_dense(np.diag([2.0, 3.0]))
+    b = np.array([1.0, 1.0])
+    solver = dict(preconditioner=SkewPreconditioner(), max_iterations=50)
+    with trace.collecting() as single:
+        ref = pcg(a, b, **solver)
+    with trace.collecting() as blocked:
+        (got,) = pcg_multi(a, b[None, :], **solver).columns
+    for collector in (single, blocked):
+        assert collector.total_counters()["cg.breakdowns"] == 1
+    assert not ref.converged and ref.iterations == 0
+    _assert_same_solve(got, ref)

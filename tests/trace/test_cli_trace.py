@@ -12,6 +12,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.kernels import get_backend
 from repro.trace import JSON_SCHEMA, TraceSummary
 
 CASE_ID = 37  # small campaign case: full method x filter grid in < 1 s
@@ -57,7 +58,7 @@ class TestTraceCli:
 
     def test_setup_ops_trace_one_span_per_call(self, cli_run):
         """The exact setup and the §5 precalc each open one span per call,
-        stamped with the kernel backend and its thread count."""
+        stamped with the kernel backend."""
         _, json_path, _ = cli_run
         summary = TraceSummary.from_dict(json.loads(json_path.read_text()))
         names = [s.name for s in summary.iter_spans()]
@@ -71,7 +72,7 @@ class TestTraceCli:
         }
         for span in setup_spans:
             assert not span.children
-            assert {"backend", "threads"} <= set(span.attrs)
+            assert span.attrs["backend"] == get_backend().name
 
     def test_phase_times_cover_wall_within_5pct(self, cli_run):
         """The CLI reports its own wall-vs-span coverage; enforce >= 95%."""
