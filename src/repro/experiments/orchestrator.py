@@ -28,6 +28,10 @@ strictly sequential in-process loop into a sharded, supervised execution:
   runner produces, so ``tables.py`` / ``figures.py`` / ``report.py`` are
   unchanged consumers and an orchestrated quick campaign is equal to the
   sequential one (asserted in ``tests/experiments/test_orchestrator.py``).
+* **Threads** — workers inherit the parent's BLAS threads.  OpenBLAS
+  fixes its thread count when numpy is imported, before any worker code
+  runs, so ``jobs × threads`` is bounded by setting
+  ``OPENBLAS_NUM_THREADS`` before launch.
 
 See ``docs/campaign_orchestration.md`` for the checkpoint format and the
 nightly-pipeline wiring.
@@ -54,7 +58,6 @@ from repro.fsai.registry import get_method
 from repro.kernels import ENV_VAR as KERNEL_BACKEND_ENV_VAR
 from repro.kernels import get_backend
 from repro.parallel.cost import estimate_case_seconds, order_cases_by_cost
-from repro.parallel.threadbudget import apply_thread_budget, thread_budget_env
 from repro.perf.metrics import OrchestrationMetrics
 
 __all__ = [
@@ -235,7 +238,7 @@ def _default_case_runner(case: MatrixCase, config: ExperimentConfig) -> CaseResu
 
 
 def _worker_main(conn, case_runner, case, config, tracing=False,
-                 kernel_backend=None, thread_env=None) -> None:
+                 kernel_backend=None) -> None:
     """Run one case and report ``("ok", dict)`` or ``("error", dict)``.
 
     With ``tracing=True`` the case runs under a fresh per-worker collector;
@@ -248,17 +251,10 @@ def _worker_main(conn, case_runner, case, config, tracing=False,
     same kernels regardless of start method — a fork inherits the parent's
     environment but not a ``use_backend(...)`` context override, and a
     spawn inherits neither.
-
-    ``thread_env`` is the parent-computed thread budget
-    (:func:`repro.parallel.threadbudget.thread_budget_env`): applied before
-    the case runs so ``workers × threads`` never oversubscribes the
-    machine, whatever threaded backend the case selects.
     """
     try:
         if kernel_backend is not None:
             os.environ[KERNEL_BACKEND_ENV_VAR] = kernel_backend
-        if thread_env:
-            apply_thread_budget(thread_env)
         if tracing:
             with trace.collecting():
                 result = case_runner(case, config)
@@ -470,9 +466,6 @@ def run_campaign_parallel(
     # Resolve the kernel backend once in the parent (honouring any active
     # use_backend(...) override) and propagate the *name* to every worker.
     kernel_backend = get_backend().name
-    # Thread-budget policy: jobs × per-worker threads ≤ cores, exported to
-    # every worker so threaded setup kernels never oversubscribe the node.
-    thread_env = thread_budget_env(jobs)
     cfg_hash = config.config_hash()
     ckpt_path: Optional[Path] = None
     if checkpoint_dir is not None:
@@ -518,7 +511,7 @@ def run_campaign_parallel(
         proc = ctx.Process(
             target=_worker_main,
             args=(child_conn, runner, task.case, config, trace_spans,
-                  kernel_backend, thread_env),
+                  kernel_backend),
             daemon=True,
         )
         proc.start()

@@ -12,9 +12,9 @@ structure-driven format selection:
   the reference kernel.
 * **HYB fast path** — almost-stencils (a dominant band plus scattered
   couplings, as boundary conditions produce) split into a DIA part for
-  the well-occupied diagonals plus a remainder for the leftovers —
-  one slot-major padded block when the remainder pads cheaply, one
-  gather + ``bincount`` scatter otherwise.  The split reorders
+  the well-occupied diagonals plus a COO remainder for the leftovers,
+  one gather + ``bincount`` scatter per product (a remainder that pads
+  well sends the matrix to the ELL view instead).  The split reorders
   accumulation (band terms first, scattered terms second), so the HYB
   path is float-associativity-accurate (1e-13), not bitwise.
 * **ELL** — every other matrix, of any size or shape, takes its
@@ -31,7 +31,7 @@ structure-driven format selection:
 The blocked handles take a ``(k, n)`` block, one vector per row.  Only
 the DIA part of a DIA or HYB view has a batched form
 (:meth:`~repro.sparse.csr.DiaView.apply_multi`: one einsum per block of
-rows under a fixed byte budget); ELL views and every HYB remainder run
+rows under a fixed byte budget); ELL views and HYB remainders run
 the single-vector kernel on each row in turn.  Either way each row of a
 blocked product is byte-identical to the single-vector product of that
 row.

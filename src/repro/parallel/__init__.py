@@ -10,18 +10,10 @@ approaches").  This subpackage models that:
   metrics;
 * :mod:`~repro.parallel.cost` — a parallel roofline: per-core compute on
   the slowest block, shared memory bandwidth, per-thread private L1s
-  simulated independently;
-* :mod:`~repro.parallel.threadbudget` — the campaign thread-budget policy
-  (``workers × threads ≤ cores``) exported to orchestrator workers.
+  simulated independently.
 """
 
 from repro.parallel.partition import RowPartition
-from repro.parallel.threadbudget import (
-    THREAD_ENV_VARS,
-    apply_thread_budget,
-    thread_budget_env,
-    threads_per_worker,
-)
 from repro.parallel.cost import (
     ParallelSpMVCost,
     estimate_case_seconds,
@@ -33,10 +25,6 @@ from repro.parallel.cost import (
 
 __all__ = [
     "RowPartition",
-    "THREAD_ENV_VARS",
-    "apply_thread_budget",
-    "thread_budget_env",
-    "threads_per_worker",
     "ParallelSpMVCost",
     "estimate_case_seconds",
     "order_cases_by_cost",

@@ -46,13 +46,16 @@ from repro.errors import (
     OverloadRejectedError,
     RequestTimeoutError,
     ServiceClosedError,
-    ShapeError,
-    UnknownOperatorError,
 )
 from repro.fsai.cache import PreconditionerCache, cached_setup
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.operators import OperatorEntry, OperatorRegistry
-from repro.serve.request import BatchKey, PendingRequest, ServeResult
+from repro.serve.request import (
+    BatchKey,
+    PendingRequest,
+    ServeResult,
+    checked_rhs,
+)
 from repro.solvers.cg import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_RTOL,
@@ -61,7 +64,6 @@ from repro.solvers.cg import (
 )
 from repro.solvers.convergence import SolveResult
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.validate import require_finite
 
 __all__ = ["SolverService", "BlockSolver"]
 
@@ -240,7 +242,8 @@ class SolverService:
         (overload, unknown operator, timeout, closed service), a
         :class:`~repro.errors.ShapeError` or
         :class:`~repro.errors.MatrixFormatError` for a malformed
-        right-hand side, or the block solver's own failure.  Malformed
+        right-hand side (:func:`~repro.serve.request.checked_rhs`), or
+        the block solver's own failure.  Malformed
         requests fail before the queue and never reach a block.
         """
         future: "Future[ServeResult]" = Future()
@@ -250,16 +253,10 @@ class SolverService:
             else:
                 fingerprint = operator
             entry = self.registry.resolve(fingerprint)
-            rhs_arr = np.ascontiguousarray(rhs, dtype=np.float64)
-            if rhs_arr.shape != (entry.n,):
-                raise ShapeError(
-                    f"rhs has shape {rhs_arr.shape}, operator expects ({entry.n},)"
-                )
-            require_finite(rhs_arr, "rhs")
             self._admit(
                 PendingRequest(
                     operator=fingerprint,
-                    rhs=rhs_arr,
+                    rhs=checked_rhs(rhs, entry.n),
                     rtol=float(rtol),
                     atol=float(atol),
                     max_iterations=int(max_iterations),
@@ -355,13 +352,9 @@ class SolverService:
             live.append(request)
         if not live:
             return
-        try:
-            entry = self.registry.resolve(key[0])
-        except UnknownOperatorError as exc:  # unregistered between checks
-            self._fail(live, exc)
-            return
         solve_start = time.perf_counter()
         try:
+            entry = self.registry.resolve(key[0])
             results, cache_hit = self._solve_batch(entry, key, live)
         except Exception as exc:  # isolate the failure to this block
             trace.add_counter("serve.batch_error")

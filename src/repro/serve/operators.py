@@ -11,8 +11,8 @@ single cache entry in :class:`repro.fsai.cache.PreconditionerCache`.
 Unlike the preconditioner cache, the registry is **not** an LRU: it
 holds raw CSR payloads (cheap relative to built setups), and dropping a
 registered operator under a client still sending its fingerprint would
-turn a capacity decision into request failures.  `unregister` exists for
-explicit retirement.
+turn a capacity decision into request failures.  A registered operator
+stays registered for the registry's lifetime.
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ class OperatorRegistry:
     def get(self, fingerprint: str) -> Optional[OperatorEntry]:
         with self._lock:
             return self._entries.get(fingerprint)
-
-    def unregister(self, fingerprint: str) -> bool:
-        """Drop one operator; True if it was present."""
-        with self._lock:
-            return self._entries.pop(fingerprint, None) is not None
 
     def fingerprints(self) -> List[str]:
         with self._lock:

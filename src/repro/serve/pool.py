@@ -6,14 +6,20 @@ worker process** and shards operators across workers by fingerprint, so:
 
 * each worker owns a *disjoint* set of operators — every request for an
   operator lands on the same worker, preserving the micro-batching
-  window semantics unchanged;
+  window semantics unchanged, and every cache key has exactly one
+  builder;
 * operator payloads live **once**, in the parent's
   :class:`~repro.serve.shm.SharedOperatorStore`; workers hold zero-copy
   views (``attach``), never copies;
-* built FSAI factors flow the *other* way: the first worker to build a
-  setup publishes its factor ``G`` into a segment and the parent adopts
-  it, so a respawned worker is **seeded** and skips setup entirely —
-  the cross-process leg of the cache's single-flight contract.
+* built FSAI factors flow the *other* way: when a request completes, its
+  worker sends each factor it built since the last request to the parent
+  once, as CSR arrays on the result queue.  The parent keeps the first
+  copy of each cache key, so a respawned worker is **seeded** with its
+  shard's factors and skips setup entirely.
+
+Each worker's :class:`~repro.fsai.cache.PreconditionerCache` is the
+in-process LRU (capacity 8), so a shard serving more operators than that
+rebuilds an evicted setup on its next request.
 
 Failure semantics: a monitor thread polls worker liveness.  When a
 worker dies, its shard's in-flight requests fail with the *retryable*
@@ -23,10 +29,8 @@ and its factors re-seeded, and a ``serve.pool_respawn`` trace counter is
 recorded.  Routing is deterministic while the pool size is fixed, so a
 retried request reaches the replacement worker.
 
-Thread budget: with ``W`` workers each worker gets
-``threads_per_worker(W)`` OpenMP threads (see
-:mod:`repro.parallel.threadbudget`) — serve workers now count against
-the same ``workers x threads <= cores`` envelope as campaign workers.
+Workers inherit the parent's BLAS threads: ``OPENBLAS_NUM_THREADS`` set
+before launch bounds them.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 from queue import Empty
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -47,23 +52,19 @@ import numpy as np
 from repro import trace
 from repro.errors import (
     ServiceClosedError,
-    ShapeError,
     UnknownOperatorError,
     WorkerCrashedError,
 )
-from repro.parallel.threadbudget import apply_thread_budget, thread_budget_env
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.request import ServeResult
+from repro.serve.request import ServeResult, checked_rhs
 from repro.serve.shm import (
-    AttachedFactor,
     AttachedOperator,
-    FactorSpec,
     SharedOperatorSpec,
     SharedOperatorStore,
 )
 from repro.solvers.cg import DEFAULT_MAX_ITERATIONS, DEFAULT_RTOL
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.validate import require_finite, require_spd_screen
+from repro.sparse.validate import require_spd_screen
 
 __all__ = ["MultiProcessClient", "shard_for"]
 
@@ -100,63 +101,59 @@ def _portable_exception(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
+#: A cache key ``(matrix fingerprint, method, config hash)`` of
+#: :class:`~repro.fsai.cache.PreconditionerCache`.
+CacheKey = Tuple[str, str, str]
+#: A factor ``G`` as it crosses the queues: ``(n, indptr, indices, data)``.
+FactorArrays = Tuple[int, np.ndarray, np.ndarray, np.ndarray]
+
+
 def _worker_main(
     shard_id: int,
     cmd_queue: "multiprocessing.queues.Queue[Any]",
     result_queue: "multiprocessing.queues.Queue[Any]",
     service_kwargs: Dict[str, Any],
-    thread_env: Dict[str, str],
-    store_prefix: str,
 ) -> None:
     """Worker entry point: one dispatcher, one shard, FIFO command loop.
 
     Module top-level so the ``spawn`` start method can import it.  The
-    worker never creates or unlinks *operator* segments — it attaches and
-    closes only; factor segments it creates are immediately adopted by
-    the parent, which owns every unlink.
+    worker never creates or unlinks a segment — it attaches and closes
+    only.
     """
     from repro.fsai.precond import FSAIApplication
     from repro.serve.dispatcher import SolverService
-    from repro.serve.shm import publish_factor_segment
 
-    apply_thread_budget(thread_env)
     service = SolverService(shard_id=shard_id, **service_kwargs).start()
     cache = service.cache
 
     attached: Dict[str, AttachedOperator] = {}
-    factor_views: List[AttachedFactor] = []
-    #: Cache keys whose factor is already published (or seeded/unpublishable).
-    known_keys: "set[Tuple[str, str, str]]" = set()
-    publish_lock = threading.Lock()
+    #: Cache keys whose factor the parent already holds (sent or seeded).
+    shipped: "set[CacheKey]" = set()
+    ship_lock = threading.Lock()
 
-    def publish_new_factors() -> None:
+    def ship_new_factors() -> None:
         # Runs in request done-callbacks: on the dispatcher thread, or on
-        # this loop's thread for a request that failed at admission.  Scan
-        # the cache for setups built since the last pass and ship each
-        # factor exactly once.
-        with publish_lock:
+        # this loop's thread for a request that failed at admission.  A
+        # setup that is not an FSAI application (a method registered by
+        # the caller) cannot be seeded as one, so it is never sent.
+        with ship_lock:
             for key, setup in cache.entries().items():
-                if key in known_keys:
-                    continue
-                known_keys.add(key)
-                application = getattr(setup, "application", None)
-                g = getattr(application, "g", None)
-                if isinstance(application, FSAIApplication) and isinstance(
-                    g, CSRMatrix
-                ):
-                    spec = publish_factor_segment(
-                        key, g, prefix=store_prefix
-                    )
-                    result_queue.put(("factor", shard_id, spec))
+                if key not in shipped:
+                    shipped.add(key)
+                    application = getattr(setup, "application", None)
+                    if isinstance(application, FSAIApplication):
+                        g = application.g
+                        arrays = (g.n_rows, g.indptr, g.indices, g.data)
+                        result_queue.put(("factor", key, arrays))
 
     def on_done(req_id: int, future: "Future[ServeResult]") -> None:
+        ship_new_factors()
         try:
             result_queue.put(("result", shard_id, req_id, future.result()))
         except BaseException as exc:
             result_queue.put(
                 ("error", shard_id, req_id, _portable_exception(exc))
             )
-        publish_new_factors()
 
     result_queue.put(("ready", shard_id))
     try:
@@ -177,17 +174,14 @@ def _worker_main(
                         method=spec.method,
                         **spec.config,
                     )
-                    cache.pin(spec.fingerprint)
                 elif op == "seed":
-                    fspec: FactorSpec = message[1]
-                    if fspec.key in known_keys:
-                        continue
-                    factor = AttachedFactor(fspec)
-                    known_keys.add(fspec.key)
-                    if cache.seed(fspec.key, factor.setup):
-                        factor_views.append(factor)
-                    else:
-                        factor.close()
+                    _, key, (n, indptr, indices, data) = message
+                    shipped.add(key)
+                    g = CSRMatrix(n, n, indptr, indices, data, _validated=True)
+                    # The dispatcher reads only a setup's ``application``.
+                    cache.seed(
+                        key, SimpleNamespace(application=FSAIApplication(g))
+                    )
                 elif op == "solve":
                     _, req_id, fp, rhs, rtol, atol, max_iterations, timeout = (
                         message
@@ -208,13 +202,6 @@ def _worker_main(
                         ("metrics", shard_id, message[1],
                          service.metrics.to_dict())
                     )
-                elif op == "detach":
-                    fp = message[1]
-                    view_opt = attached.pop(fp, None)
-                    if view_opt is not None:
-                        service.registry.unregister(fp)
-                        cache.unpin(fp)
-                        view_opt.close()
             except BaseException as exc:
                 if op == "solve":
                     result_queue.put(
@@ -227,11 +214,9 @@ def _worker_main(
                     )
     finally:
         service.stop()  # serves every admitted request first
-        cache.clear()  # release factor/operator array references
+        cache.clear()  # release the setups' operator array references
         for view in attached.values():
             view.close()
-        for factor in factor_views:
-            factor.close()
 
 
 @dataclass
@@ -286,7 +271,6 @@ class MultiProcessClient:
         )
         self._ctx = multiprocessing.get_context(method)
         self.store = store if store is not None else SharedOperatorStore()
-        self._thread_env = thread_budget_env(self.n_workers)
         self._lock = threading.Lock()
         self._workers: List[_Worker] = []
         self._result_queue: Optional[Any] = None
@@ -305,6 +289,9 @@ class MultiProcessClient:
         #: Kept on the client (not the worker record) so a respawn replay
         #: can never miss an operator registered concurrently with it.
         self._shard_specs: Dict[int, Dict[str, SharedOperatorSpec]] = {}
+        #: cache key -> the factor a worker built for it (first copy wins);
+        #: a respawn seeds the replacement's cache from here.
+        self._factors: Dict[CacheKey, FactorArrays] = {}
         self.respawns = 0
 
     # ------------------------------------------------------------------
@@ -348,8 +335,6 @@ class MultiProcessClient:
                 cmd_queue,
                 self._result_queue,
                 self._service_kwargs,
-                self._thread_env,
-                self.store.prefix,
             ),
             name=f"repro-serve-w{shard}",
             daemon=True,
@@ -444,8 +429,9 @@ class MultiProcessClient:
                     record[1] = payload
                     record[0].set()
             elif tag == "factor":
-                _, _, spec = message
-                self.store.adopt_factor(spec)
+                _, key, arrays = message
+                with self._lock:
+                    self._factors.setdefault(key, arrays)
             # "ready" and unknown tags are informational only.
 
     def _monitor_loop(self) -> None:
@@ -501,11 +487,14 @@ class MultiProcessClient:
         # seeded factor always finds its operator present.
         with self._lock:
             replay = list(self._shard_specs.get(shard, {}).values())
+            factors = [
+                (key, arrays) for key, arrays in self._factors.items()
+                if shard_for(key[0], self.n_workers) == shard
+            ]
         for spec in replay:
             replacement.cmd_queue.put(("attach", spec))
-        for fspec in self.store.factors():
-            if shard_for(fspec.key[0], self.n_workers) == shard:
-                replacement.cmd_queue.put(("seed", fspec))
+        for key, arrays in factors:
+            replacement.cmd_queue.put(("seed", key, arrays))
         # Install, then publish the count: a caller that waits for
         # ``respawns`` must never reach the dead worker's closed queue.
         self._workers[index] = replacement
@@ -539,7 +528,6 @@ class MultiProcessClient:
             if not already:
                 shard_specs[spec.fingerprint] = spec
         if not already:
-            self.store.acquire(spec.fingerprint)
             # Worker-side attach is idempotent, so racing a respawn at
             # worst double-delivers; a closed (dead) queue is retried
             # against the replacement the monitor installs.
@@ -574,8 +562,9 @@ class MultiProcessClient:
     ) -> "Future[ServeResult]":
         """Route one request to its fingerprint's shard; returns a future.
 
-        Parent-side failures (unknown operator, bad shape, a NaN or
-        infinite right-hand side, closed pool) raise immediately;
+        Parent-side failures (unknown operator, closed pool, and a
+        right-hand side :func:`~repro.serve.request.checked_rhs` refuses)
+        raise immediately;
         shard-side failures — including a worker death
         (:class:`~repro.errors.WorkerCrashedError`) — surface through the
         future like every other serve error.
@@ -592,13 +581,7 @@ class MultiProcessClient:
                 f"operator {fingerprint[:16]}... is not registered with "
                 f"this pool; call register first"
             )
-        rhs_arr = np.ascontiguousarray(rhs, dtype=np.float64)
-        if rhs_arr.shape != (spec.n_rows,):
-            raise ShapeError(
-                f"rhs has shape {rhs_arr.shape}, operator expects "
-                f"({spec.n_rows},)"
-            )
-        require_finite(rhs_arr, "rhs")
+        rhs_arr = checked_rhs(rhs, spec.n_rows)
         shard = shard_for(fingerprint, self.n_workers)
         worker = self._workers[shard]
         future: "Future[ServeResult]" = Future()

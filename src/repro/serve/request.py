@@ -14,19 +14,44 @@ tolerances, so mixing tolerances inside one block would change results.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ShapeError
 from repro.solvers.convergence import SolveResult
+from repro.sparse.validate import require_finite, require_norm_in_range
 
-__all__ = ["BatchKey", "PendingRequest", "ServeResult"]
+__all__ = ["BatchKey", "PendingRequest", "ServeResult", "checked_rhs"]
 
 #: ``(operator fingerprint, rtol, atol, max_iterations)`` — the grouping
 #: key under which requests may share one blocked solve.
 BatchKey = Tuple[str, float, float, int]
+
+
+def checked_rhs(rhs: Any, n: int) -> np.ndarray:
+    """A right-hand side as both serving ``submit`` methods admit it.
+
+    Returns it as a contiguous float64 vector, or raises
+    :class:`~repro.errors.ShapeError` for a length other than the
+    operator's ``n`` and :class:`~repro.errors.MatrixFormatError` for a
+    NaN or infinite entry or a 2-norm outside float64's range (the
+    solvers' own initial-residual test), so a bad request fails alone
+    instead of failing the block it would join.
+    """
+    rhs_arr = np.ascontiguousarray(rhs, dtype=np.float64)
+    if rhs_arr.shape != (n,):
+        raise ShapeError(
+            f"rhs has shape {rhs_arr.shape}, operator expects ({n},)"
+        )
+    require_finite(rhs_arr, "rhs")
+    require_norm_in_range(
+        rhs_arr, math.sqrt(float(np.dot(rhs_arr, rhs_arr))), "rhs"
+    )
+    return rhs_arr
 
 
 @dataclass

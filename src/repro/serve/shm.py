@@ -1,12 +1,14 @@
 """Shared-memory operator store: publish CSR payloads once, attach anywhere.
 
 The multi-process pool (:mod:`repro.serve.pool`) runs one dispatcher per
-worker process, but the hot operators — CSR matrices and built FSAI
-factors — must not be duplicated per worker: that is the
-memory-footprint-vs-parallelism trade the paper optimizes at cache-line
-granularity, replayed at process granularity.  This module keeps exactly
-one copy of each operator in ``multiprocessing.shared_memory`` segments
-and hands workers **zero-copy** ``np.ndarray`` views over them.
+worker process, but the operators it serves must not be duplicated per
+worker: that is the memory-footprint-vs-parallelism trade the paper
+optimizes at cache-line granularity, replayed at process granularity.
+This module keeps exactly one copy of each registered matrix in a
+``multiprocessing.shared_memory`` segment and hands workers **zero-copy**
+``np.ndarray`` views over it.  Built FSAI factors are not stored here:
+each worker builds its own shard's, and the pool ships them to the parent
+over its result queue (see :mod:`repro.serve.pool`).
 
 Segment layout (one segment per matrix, all offsets 8-byte aligned
 because every field is 8 bytes wide)::
@@ -17,21 +19,15 @@ because every field is 8 bytes wide)::
 
 Naming/cleanup contract:
 
-* Segment names are ``<prefix>-<fp12>-g<generation>`` for operators and
-  ``<prefix>-f<hex8>`` for factors, where ``<prefix>`` is unique per
-  store instance (``rs`` + 6 random hex chars).  Names stay well under
-  the 31-character POSIX portability limit.
-* The **creating** process owns unlinking.  Workers only ever attach and
-  ``close()``; the parent unlinks on :meth:`SharedOperatorStore.evict`
-  (refcount permitting) and unconditionally on
-  :meth:`SharedOperatorStore.close`.  Factor segments are created by
-  workers but immediately *adopted* by the parent, which then owns their
-  unlink too — so a SIGKILLed worker can never leak a segment.
-* Eviction is refcounted: ``evict`` on a fingerprint with live
-  attachments only *marks* it; the actual unlink happens on the release
-  that drops the refcount to zero.  Generation tags make the deferred
-  window safe — a republish after eviction gets a fresh segment name, so
-  stale attachments can never alias new data.
+* Segment names are ``<prefix>-<fp12>``, where ``<prefix>`` is unique per
+  store instance (``rs`` + 6 random hex chars) and ``<fp12>`` is the
+  first 12 hex characters of the matrix fingerprint.  Names stay well
+  under the 31-character POSIX portability limit.
+* A published operator stays published until the store closes.  The
+  creating process owns every unlink: workers only ever attach and
+  ``close()``, and the parent unlinks each segment in
+  :meth:`SharedOperatorStore.close`, so a SIGKILLed worker can never
+  leak one.
 """
 
 from __future__ import annotations
@@ -40,22 +36,17 @@ import secrets
 import threading
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import trace
-from repro.serve.operators import OperatorEntry
 from repro.sparse.csr import CSRMatrix
 
 __all__ = [
-    "AttachedFactor",
     "AttachedOperator",
-    "FactorSpec",
-    "SeededSetup",
     "SharedOperatorSpec",
     "SharedOperatorStore",
-    "publish_factor_segment",
 ]
 
 _ITEM = 8  # bytes per element: int64 indptr/indices, float64 data
@@ -109,37 +100,8 @@ class SharedOperatorSpec:
     n_rows: int
     n_cols: int
     nnz: int
-    generation: int
     method: str
     config: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class FactorSpec:
-    """Manifest entry for one published FSAI factor ``G``.
-
-    ``key`` is the exact :class:`repro.fsai.cache.PreconditionerCache`
-    key tuple ``(matrix fingerprint, method, config hash)``, so any
-    process can seed its cache without recomputing the hash chain.
-    """
-
-    key: Tuple[str, str, str]
-    segment: str
-    n: int
-    nnz: int
-
-
-@dataclass
-class SeededSetup:
-    """Stand-in for ``FSAISetup`` rebuilt from a shared factor segment.
-
-    The dispatcher's solve path only touches ``setup.application``, so a
-    respawned worker seeded with this skips FSAI setup entirely.
-    """
-
-    application: Any
-    method: str
-    seeded: bool = True
 
 
 class AttachedOperator:
@@ -153,16 +115,6 @@ class AttachedOperator:
         self.matrix: Optional[CSRMatrix] = _matrix_view(
             self._shm.buf, spec.n_rows, spec.n_cols, spec.nnz,
             spec.fingerprint,
-        )
-
-    @property
-    def entry(self) -> OperatorEntry:
-        if self.matrix is None:
-            raise RuntimeError("attachment is closed")
-        return OperatorEntry(
-            matrix=self.matrix,
-            method=self.spec.method,
-            config=dict(self.spec.config),
         )
 
     def close(self) -> None:
@@ -182,60 +134,12 @@ class AttachedOperator:
             self._shm = None
 
 
-class AttachedFactor:
-    """Attachment over a published factor: yields a seedable setup."""
-
-    def __init__(self, spec: FactorSpec) -> None:
-        from repro.fsai.precond import FSAIApplication
-
-        self.spec = spec
-        self._shm: Optional[shared_memory.SharedMemory] = (
-            shared_memory.SharedMemory(name=spec.segment)
-        )
-        g = _matrix_view(
-            self._shm.buf, spec.n, spec.n, spec.nnz, spec.segment
-        )
-        self.setup = SeededSetup(
-            application=FSAIApplication(g), method=spec.key[1]
-        )
-
-    def close(self) -> None:
-        self.setup = None  # type: ignore[assignment]
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except BufferError:
-                pass
-            self._shm = None
-
-
-def publish_factor_segment(
-    key: Tuple[str, str, str], g: CSRMatrix, *, prefix: str
-) -> FactorSpec:
-    """Copy a built factor ``G`` into a fresh segment (worker-side).
-
-    The caller must hand the returned spec to the parent for adoption
-    (:meth:`SharedOperatorStore.adopt_factor`) — ownership of the unlink
-    transfers there, so worker death never leaks the segment.
-    """
-    name = f"{prefix}-f{secrets.token_hex(4)}"
-    shm = shared_memory.SharedMemory(
-        name=name, create=True, size=_segment_size(g.n_rows, g.nnz)
-    )
-    try:
-        _pack(g, shm)
-    finally:
-        shm.close()
-    return FactorSpec(key=key, segment=name, n=g.n_rows, nnz=g.nnz)
-
-
 class SharedOperatorStore:
-    """Parent-side manifest of published segments with refcounted eviction.
+    """Parent-side manifest of published operator segments.
 
-    Thread-safe; the pool's router/monitor threads and client threads all
-    touch it.  ``publish`` is exactly-once per fingerprint: concurrent
-    publishes of the same matrix return the same spec, and the segment is
-    written once.
+    Thread-safe; the pool's client threads all touch it.  ``publish`` is
+    exactly-once per fingerprint: concurrent publishes of the same matrix
+    return the same spec, and the segment is written once.
     """
 
     def __init__(self, prefix: Optional[str] = None) -> None:
@@ -243,17 +147,8 @@ class SharedOperatorStore:
         self._lock = threading.Lock()
         self._specs: Dict[str, SharedOperatorSpec] = {}
         self._segments: Dict[str, shared_memory.SharedMemory] = {}
-        self._refs: Dict[str, int] = {}
-        self._deferred: "set[str]" = set()
-        self._generations: Dict[str, int] = {}
-        self._factors: Dict[Tuple[str, str, str], FactorSpec] = {}
         self.published = 0
-        self.evicted = 0
-        self.deferred_evictions = 0
 
-    # ------------------------------------------------------------------
-    # Publishing and lookup
-    # ------------------------------------------------------------------
     def publish(
         self,
         matrix: CSRMatrix,
@@ -267,9 +162,7 @@ class SharedOperatorStore:
             existing = self._specs.get(fingerprint)
             if existing is not None:
                 return existing
-            generation = self._generations.get(fingerprint, 0) + 1
-            self._generations[fingerprint] = generation
-            name = f"{self.prefix}-{fingerprint[:12]}-g{generation}"
+            name = f"{self.prefix}-{fingerprint[:12]}"
             shm = shared_memory.SharedMemory(
                 name=name,
                 create=True,
@@ -282,13 +175,11 @@ class SharedOperatorStore:
                 n_rows=matrix.n_rows,
                 n_cols=matrix.n_cols,
                 nnz=matrix.nnz,
-                generation=generation,
                 method=method,
                 config=dict(config or {}),
             )
             self._specs[fingerprint] = spec
             self._segments[fingerprint] = shm
-            self._refs[fingerprint] = 0
             self.published += 1
             trace.add_counter("serve.shm_publish")
             return spec
@@ -297,158 +188,29 @@ class SharedOperatorStore:
         with self._lock:
             return self._specs.get(fingerprint)
 
-    def specs(self) -> List[SharedOperatorSpec]:
-        with self._lock:
-            return list(self._specs.values())
-
-    def __contains__(self, fingerprint: object) -> bool:
-        with self._lock:
-            return fingerprint in self._specs
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._specs)
 
-    # ------------------------------------------------------------------
-    # Refcounted attach/detach bookkeeping (parent-side mirror)
-    # ------------------------------------------------------------------
-    def acquire(self, fingerprint: str) -> SharedOperatorSpec:
-        """Count one worker attachment; returns the spec to ship to it."""
-        with self._lock:
-            spec = self._specs.get(fingerprint)
-            if spec is None:
-                raise KeyError(f"operator {fingerprint[:16]} is not published")
-            self._refs[fingerprint] += 1
-            return spec
-
-    def release(self, fingerprint: str) -> None:
-        """Drop one attachment; a deferred eviction fires on the last one."""
-        unlink: Optional[shared_memory.SharedMemory] = None
-        with self._lock:
-            refs = self._refs.get(fingerprint)
-            if refs is None:
-                return
-            refs = max(0, refs - 1)
-            self._refs[fingerprint] = refs
-            if refs == 0 and fingerprint in self._deferred:
-                unlink = self._drop_locked(fingerprint)
-        if unlink is not None:
-            self._destroy(unlink)
-
-    def refcount(self, fingerprint: str) -> int:
-        with self._lock:
-            return self._refs.get(fingerprint, 0)
-
-    # ------------------------------------------------------------------
-    # Eviction
-    # ------------------------------------------------------------------
-    def evict(self, fingerprint: str) -> bool:
-        """Unlink the segment if no attachments are live; defer otherwise.
-
-        Returns ``True`` when the segment was destroyed now, ``False``
-        when eviction was deferred to the last :meth:`release` (or the
-        fingerprint was never published).
-        """
-        with self._lock:
-            if fingerprint not in self._specs:
-                return False
-            if self._refs.get(fingerprint, 0) > 0:
-                self._deferred.add(fingerprint)
-                self.deferred_evictions += 1
-                trace.add_counter("serve.shm_evict_deferred")
-                return False
-            unlink = self._drop_locked(fingerprint)
-        if unlink is not None:
-            self._destroy(unlink)
-        return True
-
-    def _drop_locked(
-        self, fingerprint: str
-    ) -> Optional[shared_memory.SharedMemory]:
-        self._specs.pop(fingerprint, None)
-        self._refs.pop(fingerprint, None)
-        self._deferred.discard(fingerprint)
-        self.evicted += 1
-        trace.add_counter("serve.shm_evict")
-        return self._segments.pop(fingerprint, None)
-
-    @staticmethod
-    def _destroy(shm: shared_memory.SharedMemory) -> None:
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - parent keeps no views
-            pass
-        shm.unlink()
-
-    # ------------------------------------------------------------------
-    # Factor adoption (workers build, parent owns)
-    # ------------------------------------------------------------------
-    def adopt_factor(self, spec: FactorSpec) -> bool:
-        """Take unlink ownership of a worker-published factor segment.
-
-        Exactly-once arbitration for the cross-process single-flight
-        contract: the first spec for a key wins; a duplicate (e.g. a
-        respawned worker rebuilding before its seed arrived) is unlinked
-        immediately and ``False`` is returned.
-        """
-        with self._lock:
-            if spec.key in self._factors:
-                duplicate = True
-            else:
-                self._factors[spec.key] = spec
-                duplicate = False
-        if duplicate:
-            loser = shared_memory.SharedMemory(name=spec.segment)
-            self._destroy(loser)
-            trace.add_counter("serve.shm_factor_duplicate")
-            return False
-        trace.add_counter("serve.shm_factor_publish")
-        return True
-
-    def factors(self) -> List[FactorSpec]:
-        with self._lock:
-            return list(self._factors.values())
-
-    def factors_for(self, fingerprint: str) -> List[FactorSpec]:
-        with self._lock:
-            return [
-                s for k, s in self._factors.items() if k[0] == fingerprint
-            ]
-
-    # ------------------------------------------------------------------
-    # Teardown
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Unlink every segment this store owns, refcounts notwithstanding."""
+        """Unlink every segment this store published."""
         with self._lock:
             segments = list(self._segments.values())
-            factor_specs = list(self._factors.values())
             self._specs.clear()
             self._segments.clear()
-            self._refs.clear()
-            self._deferred.clear()
-            self._factors.clear()
         for shm in segments:
-            self._destroy(shm)
-        for fspec in factor_specs:
-            try:
-                self._destroy(shared_memory.SharedMemory(name=fspec.segment))
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+            shm.close()
+            shm.unlink()
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {
                 "published": self.published,
-                "evicted": self.evicted,
-                "deferred_evictions": self.deferred_evictions,
                 "live_segments": len(self._segments),
-                "factor_segments": len(self._factors),
-                "attachments": sum(self._refs.values()),
             }
 
     def __repr__(self) -> str:
         return (
             f"SharedOperatorStore(prefix={self.prefix!r}, "
-            f"operators={len(self._specs)}, factors={len(self._factors)})"
+            f"operators={len(self._specs)})"
         )

@@ -47,7 +47,7 @@ from repro.solvers.convergence import (
 )
 from repro.solvers.preconditioners import IdentityPreconditioner, Preconditioner
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.validate import require_finite
+from repro.sparse.validate import require_finite, require_norm_in_range
 
 __all__ = ["cg", "pcg", "pcg_multi"]
 
@@ -78,7 +78,9 @@ def pcg(
         SPD system matrix in CSR form.
     b:
         Right-hand side.  A NaN or infinite entry in ``b`` or ``x0``
-        raises :class:`~repro.errors.MatrixFormatError` before any product.
+        raises :class:`~repro.errors.MatrixFormatError` before any product,
+        and so does an initial residual whose 2-norm over- or underflows
+        (see :func:`~repro.sparse.validate.require_norm_in_range`).
     preconditioner:
         Object with ``apply``/``flops_per_application``; ``None`` runs plain
         CG (identity preconditioner, zero cost).
@@ -160,6 +162,8 @@ def _pcg(
 
     history = ConvergenceHistory() if record_history else None
     r_norm0 = math.sqrt(backend.dot(r, r))
+    if not 0.0 < r_norm0 < math.inf:
+        require_norm_in_range(r, r_norm0, "r0")
     if history is not None:
         history.record(r_norm0)
     threshold = max(rtol * r_norm0, atol)
@@ -394,6 +398,8 @@ def _pcg_multi(
         [ConvergenceHistory() for _ in range(k)] if record_history else None
     )
     r_norm0 = np.sqrt(_row_dots(r_full, r_full))
+    if not np.all((r_norm0 > 0.0) & (r_norm0 < np.inf)):
+        require_norm_in_range(r_full, r_norm0, "r0")
     if histories is not None:
         for history, norm0 in zip(histories, r_norm0):
             history.record(float(norm0))

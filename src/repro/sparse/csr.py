@@ -30,9 +30,9 @@ from repro.sparse.pattern import Pattern, _validate_structure
 
 __all__ = ["CSRMatrix", "EllBucket", "EllView"]
 
-#: Below this many stored entries no DIA/HYB view (and no ELL form of a
-#: HYB remainder) is built: the plain ELL view already costs next to
-#: nothing there.
+#: Below this many stored entries no DIA/HYB view is built (nor does a
+#: HYB remainder count as padding well): the plain ELL view already costs
+#: next to nothing there.
 _ELL_MIN_NNZ = 256
 
 #: Padding bound of the ELL view (see :meth:`CSRMatrix.ell_view`): a
@@ -54,10 +54,11 @@ _DIA_MAX_FILL = 1.5
 _HYB_MIN_OCCUPANCY = 0.25
 _HYB_MIN_COVERAGE = 0.5
 
-#: A HYB remainder whose rows pad to within this factor is stored in ELL
-#: form (gather + einsum row-dot beats the ``bincount`` scatter); sparser
-#: remainders stay COO.  Looser than ``_ELL_MAX_PAD`` because the
-#: alternative here is the pricey scatter, not a second padded bucket.
+#: A matrix whose HYB remainder rows pad to within this factor takes the
+#: plain ELL view instead of a DIA view: on the benchmark matrices of that
+#: shape the ELL view ran as fast as DIA plus a padded remainder or
+#: faster, and a COO remainder slower (timings in ``docs/kernels.md``).
+#: Sparser remainders stay COO.
 _HYB_REM_MAX_PAD = 2.0
 
 #: Byte budget of the gathered window stack in one blocked DIA product
@@ -91,10 +92,9 @@ class DiaView:
     boundary conditions and irregular couplings produce) get a *hybrid*
     split in the spirit of the classic HYB format: the well-occupied
     diagonals form the DIA part and the leftover entries are added on
-    top, either as one slot-major padded block (``rem_ell``, an
-    :class:`EllBucket` over every output row, contracted like an ELL
-    bucket) or as a COO remainder through one gather + ``bincount``
-    scatter per product.
+    top as a COO remainder through one gather + ``bincount`` scatter per
+    product.  A remainder dense enough to pad well sends the whole
+    matrix to the ELL view instead (see ``_HYB_REM_MAX_PAD``).
 
     When the remainder is empty, offsets ascend, so per output element
     the ``k`` terms accumulate in column order — the same sequential
@@ -110,7 +110,7 @@ class DiaView:
 
     __slots__ = (
         "data", "sel", "xp", "windows", "lo", "n_in", "n_out",
-        "rem_out", "rem_in", "rem_data", "rem_buf", "rem_ell",
+        "rem_out", "rem_in", "rem_data", "rem_buf",
         "block_rows", "xpb", "windows_b",
     )
 
@@ -118,8 +118,7 @@ class DiaView:
                  n_in: int, n_out: int,
                  rem_out: Optional[IndexArray] = None,
                  rem_in: Optional[IndexArray] = None,
-                 rem_data: Optional[FloatArray] = None,
-                 rem_ell: Optional["EllBucket"] = None) -> None:
+                 rem_data: Optional[FloatArray] = None) -> None:
         self.data = data  # (k, n_out): data[d, i] = A[i, i + offsets[d]]
         lo = max(0, -int(offsets[0]))
         hi = max(0, int(offsets[-1]) + n_out - n_in)
@@ -133,7 +132,6 @@ class DiaView:
         self.rem_in = rem_in
         self.rem_data = rem_data
         self.rem_buf = None if rem_data is None else np.empty(len(rem_data))
-        self.rem_ell = rem_ell  # row-padded remainder (see _HYB_REM_MAX_PAD)
         # Vectors per blocked einsum (see _DIA_BLOCK_BYTES); 0 = row loop.
         self.block_rows = _DIA_BLOCK_BYTES // (8 * data.shape[0] * n_out)
         self.xpb = None  # (block_rows, pad) twin of ``xp``, built lazily
@@ -147,11 +145,7 @@ class DiaView:
         return out
 
     def _add_remainder(self, x: FloatArray, out: FloatArray) -> None:
-        if self.rem_ell is not None:
-            out += _einsum(
-                "km,km->m", self.rem_ell.data, x.take(self.rem_ell.gather_ids)
-            )
-        elif self.rem_out is not None:
+        if self.rem_out is not None:
             np.multiply(self.rem_data, x[self.rem_in], out=self.rem_buf)
             out += np.bincount(
                 self.rem_out, weights=self.rem_buf, minlength=self.n_out,
@@ -165,7 +159,7 @@ class DiaView:
         contracted in the same ascending order per output element as
         :meth:`apply`, so every row is byte-identical to its
         single-vector product.  Views too large for one row per block,
-        and every HYB remainder, take :meth:`apply`'s own kernels row by
+        and a HYB remainder, take :meth:`apply`'s own kernels row by
         row.
         """
         rows = self.block_rows
@@ -187,7 +181,7 @@ class DiaView:
                 "dn,kdn->kn", self.data, self.windows_b[:m, self.sel],
                 out=out[start:stop],
             )
-        if self.rem_ell is not None or self.rem_out is not None:
+        if self.rem_out is not None:
             for xj, oj in zip(x, out):
                 self._add_remainder(xj, oj)
         return out
@@ -201,8 +195,9 @@ def _build_dia(
 
     Pure stencils (every diagonal worth storing) get an exact DIA view;
     almost-stencils get the HYB split with the under-occupied diagonals'
-    entries kept as a COO remainder; anything unstructured returns
-    ``None`` and the caller falls back to the ELL view.
+    entries kept as a COO remainder; anything unstructured, and an
+    almost-stencil whose remainder pads well, returns ``None`` and the
+    caller falls back to the ELL view.
     """
     nnz = len(values)
     if nnz < _ELL_MIN_NNZ:
@@ -221,24 +216,20 @@ def _build_dia(
     on_band = np.isin(offs_per_entry, dense)
     if int(on_band.sum()) < _HYB_MIN_COVERAGE * nnz:
         return None
+    off_band = ~on_band
+    rem_out = out_ids[off_band]
+    # A remainder that pads well runs faster in the plain ELL view.
+    counts = np.bincount(rem_out, minlength=n_out)
+    if (len(rem_out) >= _ELL_MIN_NNZ
+            and n_out * counts.max() <= _HYB_REM_MAX_PAD * len(rem_out)):
+        return None
     data = np.zeros((len(dense), n_out))
     data[
         np.searchsorted(dense, offs_per_entry[on_band]), out_ids[on_band]
     ] = values[on_band]
-    off_band = ~on_band
-    rem_out, rem_in = out_ids[off_band], in_ids[off_band]
-    rem_values = values[off_band]
-    # Dense-ish remainders are cheaper as one row-padded block (gather +
-    # einsum) than scattered through bincount; group them by output id.
-    counts = np.bincount(rem_out, minlength=n_out)
-    if (len(rem_values) >= _ELL_MIN_NNZ
-            and n_out * counts.max() <= _HYB_REM_MAX_PAD * len(rem_values)):
-        order = np.argsort(rem_out, kind="stable")
-        rem_ell = _ell_block(counts, rem_in[order], rem_values[order])
-        return DiaView(data, dense, n_in, n_out, rem_ell=rem_ell)
     return DiaView(
         data, dense, n_in, n_out,
-        rem_out=rem_out, rem_in=rem_in, rem_data=rem_values,
+        rem_out=rem_out, rem_in=in_ids[off_band], rem_data=values[off_band],
     )
 
 
@@ -274,9 +265,7 @@ def _ell_block(
     """Pad ``counts``-sized groups (entries in group order) to one width.
 
     The block is slot-major, ``(width, m)``; a lone group is stored twice
-    under explicit row ids (see :class:`EllBucket`).  HYB remainders
-    never hit that case: they span every row of a matrix of at least
-    ``_ELL_MIN_NNZ`` entries.
+    under explicit row ids (see :class:`EllBucket`).
     """
     if len(counts) == 1:
         counts = np.repeat(counts, 2)

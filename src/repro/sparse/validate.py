@@ -16,6 +16,7 @@ from repro.sparse.csr import CSRMatrix
 
 __all__ = [
     "require_finite",
+    "require_norm_in_range",
     "require_square",
     "require_symmetric",
     "require_positive_diagonal",
@@ -50,6 +51,36 @@ def require_finite(a: Union[CSRMatrix, np.ndarray], name: str = "vector") -> Non
     index = ", ".join(str(int(i)) for i in np.unravel_index(k, values.shape))
     raise MatrixFormatError(
         f"non-finite value {values.flat[k]} at {name}[{index}]"
+    )
+
+
+def require_norm_in_range(
+    r: np.ndarray, norm: Union[float, np.ndarray], name: str = "vector"
+) -> None:
+    """Raise :class:`MatrixFormatError` where a computed 2-norm left float64.
+
+    ``norm`` is ``‖r‖₂`` as the caller computed it, or one norm per row
+    of a ``(k, n)`` block.  Its sum of squares overflows to ``inf`` for a
+    finite ``r`` with entries near 1e154, and underflows to 0 for a
+    nonzero ``r`` with entries near 1e-170.  Either turns PCG's relative
+    stopping test into ``inf <= inf`` or ``0 <= 0``: a "converged" zero
+    iterate.  ``pcg`` and ``pcg_multi`` check their initial residual
+    (called only when a norm is not in ``(0, inf)``), and both serving
+    ``submit`` methods each right-hand side, before any iteration.  ``r``
+    is scanned only where a norm is 0: a zero vector is legitimate.
+    """
+    norms = np.atleast_1d(np.asarray(norm, dtype=np.float64))
+    bad = ~np.isfinite(norms)
+    zero = np.flatnonzero(norms == 0)
+    if len(zero):
+        bad[zero] = np.any(np.reshape(r, (len(norms), -1))[zero], axis=1)
+    if not bad.any():
+        return
+    j = int(np.argmax(bad))
+    label = name if np.ndim(r) == 1 else f"{name}[{j}]"
+    raise MatrixFormatError(
+        f"the 2-norm of {label} evaluates to {norms[j]}: its sum of squares "
+        f"leaves the float64 range; rescale the system"
     )
 
 

@@ -380,51 +380,11 @@ class TestBackendPropagation:
 
 
 # ----------------------------------------------------------------------
-# Thread-budget propagation + setup-backend recording
+# Setup-backend recording
 # ----------------------------------------------------------------------
-def thread_env_probe_runner(case, config):
-    """Record the thread-budget env exactly as the worker received it."""
-    result = _fake_run(case, config)
-    result.runs[("fsaie_full", 0.0)].method = (
-        f"omp={os.environ.get('OMP_NUM_THREADS', '<unset>')}"
-    )
-    return result
-
-
 class TestThreadBudget:
-    def test_workers_receive_thread_budget_env(self):
-        """Every worker sees OMP_NUM_THREADS set to the parent-computed
-        budget (cores // jobs, at least 1)."""
-        from repro.parallel.threadbudget import threads_per_worker
-
-        jobs = 2
-        expected = str(threads_per_worker(jobs))
-        outcome = run_campaign_parallel(
-            CFG, case_ids=IDS[:2], jobs=jobs,
-            case_runner=thread_env_probe_runner,
-        )
-        assert outcome.ok
-        for r in outcome.campaign.results:
-            assert (
-                r.runs[("fsaie_full", 0.0)].method
-                == f"omp={expected}"
-            )
-
-    def test_policy_never_oversubscribes(self):
-        from repro.parallel.threadbudget import (
-            THREAD_ENV_VARS,
-            thread_budget_env,
-            threads_per_worker,
-        )
-
-        for cores in (1, 2, 4, 7, 48):
-            for jobs in (1, 2, 3, cores, cores + 5):
-                t = threads_per_worker(jobs, cores=cores)
-                assert t >= 1
-                assert jobs * t <= max(cores, jobs)  # never oversubscribed
-        env = thread_budget_env(4, cores=48)
-        assert set(env) == set(THREAD_ENV_VARS)
-        assert all(v == "12" for v in env.values())
+    """What workers record of the set-up backend.  (Workers inherit the
+    parent's BLAS threads; nothing is exported to them.)"""
 
     def test_real_runner_stamps_setup_backend(self):
         from repro.fsai.frobenius import resolve_setup_backend

@@ -55,8 +55,7 @@ class TestGetOrBuild:
         assert second is first
         assert len(calls) == 1
         assert cache.stats() == {
-            "hits": 1, "misses": 1, "evictions": 0, "coalesced": 0,
-            "deferred_evictions": 0, "pinned": 0, "size": 1, "capacity": 4,
+            "hits": 1, "misses": 1, "evictions": 0, "size": 1, "capacity": 4,
         }
 
     def test_method_and_config_participate_in_key(self):
@@ -202,56 +201,7 @@ class TestCachedSetup:
 
 
 class TestPinsAndSeeding:
-    """Shared-memory attachment pins + cross-process factor seeding."""
-
-    def test_pinned_entry_survives_capacity_pressure(self):
-        cache = PreconditionerCache(capacity=1)
-        a, b = _spd(6, 30), _spd(6, 31)
-        pinned = cache.get_or_build(a, object, method="fsai")
-        cache.pin(a.fingerprint())
-        cache.get_or_build(b, object, method="fsai")  # over capacity
-        # The unpinned newcomer is evictable, the pinned entry is not;
-        # eviction picks the newcomer even though the pinned entry is LRU.
-        again = cache.get_or_build(a, object, method="fsai")
-        assert again is pinned
-        assert cache.evictions == 1
-
-    def test_all_pinned_defers_eviction_until_unpin(self):
-        cache = PreconditionerCache(capacity=1)
-        a, b = _spd(6, 32), _spd(6, 33)
-        cache.get_or_build(a, object, method="fsai")
-        cache.get_or_build(b, object, method="fsai")
-        # Rebuild state where both live: pin both, then overfill.
-        cache.clear()
-        cache.pin(a.fingerprint())
-        cache.pin(b.fingerprint())
-        with trace.collecting() as collector:
-            cache.get_or_build(a, object, method="fsai")
-            cache.get_or_build(b, object, method="fsai")
-        assert collector.total_counters().get("fsai.cache_evict_deferred") == 1
-        assert cache.stats()["size"] == 2  # bound temporarily exceeded
-        assert cache.deferred_evictions == 1
-        # Last detach re-enforces the bound.
-        cache.unpin(a.fingerprint())
-        assert cache.stats()["size"] == 1
-
-    def test_pin_is_refcounted(self):
-        cache = PreconditionerCache(capacity=1)
-        a, b = _spd(6, 34), _spd(6, 35)
-        cache.get_or_build(a, object, method="fsai")
-        cache.pin(a.fingerprint())
-        cache.pin(a.fingerprint())
-        assert cache.pin_count(a.fingerprint()) == 2
-        cache.unpin(a.fingerprint())
-        assert cache.pin_count(a.fingerprint()) == 1
-        # Still pinned once: capacity pressure evicts the unpinned
-        # newcomer instead of the pinned LRU entry.
-        cache.get_or_build(b, object, method="fsai")
-        stats = cache.stats()
-        assert stats["size"] == 1 and stats["evictions"] == 1
-        assert next(iter(cache.entries()))[0] == a.fingerprint()
-        cache.unpin(a.fingerprint())
-        assert cache.pin_count(a.fingerprint()) == 0
+    """Seeding: a pool worker's respawn adopts factors built elsewhere."""
 
     def test_seed_is_idempotent_and_counts_as_neither_hit_nor_miss(self):
         cache = PreconditionerCache(capacity=4)

@@ -1,16 +1,14 @@
-"""Concurrent preconditioner-cache access: single-flight and racing evictions.
+"""Concurrent preconditioner-cache access: distinct keys and racing evictions.
 
-The serving dispatcher shares one :class:`PreconditionerCache` between
-its solver thread and arbitrarily many submitters, so the cache's
-concurrency contract is load-bearing: concurrent misses on one key must
-coalesce into a single build, a failed leader must not strand waiters,
-and evictions racing an in-flight batch must never corrupt results or
-deadlock.  These tests force each interleaving with events rather than
-sleeps wherever the ordering can be made deterministic.
+The serving dispatcher builds every setup on its one thread, but
+callers and tests may still share a :class:`PreconditionerCache` across
+threads: one key's build must not block another key, and evictions
+racing an in-flight batch must never corrupt results or deadlock.
+These tests force each interleaving with events rather than sleeps
+wherever the ordering can be made deterministic.
 """
 
 import threading
-import time
 
 import numpy as np
 
@@ -37,88 +35,7 @@ def _join_all(threads):
 
 
 class TestSingleFlight:
-    def test_concurrent_misses_coalesce_into_one_build(self):
-        cache = PreconditionerCache(capacity=4)
-        a = _spd(8, 1)
-        build_entered = threading.Event()
-        release_build = threading.Event()
-        calls = []
-
-        def build():
-            calls.append(1)
-            build_entered.set()
-            assert release_build.wait(JOIN_TIMEOUT)
-            return "setup"
-
-        results = []
-
-        def probe():
-            results.append(cache.get_or_build(a, build, method="fsai"))
-
-        threads = [threading.Thread(target=probe) for _ in range(5)]
-        threads[0].start()
-        assert build_entered.wait(JOIN_TIMEOUT)
-        for thread in threads[1:]:
-            thread.start()
-        # All four latecomers must park on the leader's event before it
-        # is released (coalesced is bumped under the lock pre-wait).
-        deadline = time.monotonic() + JOIN_TIMEOUT
-        while cache.coalesced < 4 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert cache.coalesced == 4
-        release_build.set()
-        _join_all(threads)
-        assert calls == [1]
-        assert results == ["setup"] * 5
-        stats = cache.stats()
-        assert stats["misses"] == 1
-        assert stats["hits"] == 4
-        assert stats["coalesced"] == 4
-
-    def test_failed_leader_does_not_strand_waiters(self):
-        cache = PreconditionerCache(capacity=4)
-        a = _spd(8, 2)
-        leader_entered = threading.Event()
-        release_leader = threading.Event()
-        calls = []
-        outcome = {}
-
-        def failing_build():
-            calls.append("leader")
-            leader_entered.set()
-            assert release_leader.wait(JOIN_TIMEOUT)
-            raise RuntimeError("leader build failed")
-
-        def leader():
-            try:
-                cache.get_or_build(a, failing_build, method="fsai")
-            except RuntimeError as exc:
-                outcome["leader"] = exc
-
-        def retry_build():
-            calls.append("waiter")
-            return "rebuilt"
-
-        def waiter():
-            outcome["waiter"] = cache.get_or_build(a, retry_build, method="fsai")
-
-        t_leader = threading.Thread(target=leader)
-        t_leader.start()
-        assert leader_entered.wait(JOIN_TIMEOUT)
-        t_waiter = threading.Thread(target=waiter)
-        t_waiter.start()
-        deadline = time.monotonic() + JOIN_TIMEOUT
-        while cache.coalesced < 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert cache.coalesced == 1
-        release_leader.set()
-        _join_all([t_leader, t_waiter])
-        # The leader's exception propagated to the leader only; the
-        # waiter retried, became the new leader and built successfully.
-        assert isinstance(outcome["leader"], RuntimeError)
-        assert outcome["waiter"] == "rebuilt"
-        assert calls == ["leader", "waiter"]
-        assert cache.stats()["misses"] == 2
+    """Builds run outside the lock (nothing coordinates one key's misses)."""
 
     def test_distinct_keys_build_concurrently(self):
         """One key's slow build must not serialize other keys behind it."""
@@ -144,7 +61,7 @@ class TestSingleFlight:
         release_slow.set()
         _join_all([t_slow])
         assert cache.stats()["misses"] == 2
-        assert cache.stats()["coalesced"] == 0
+        assert cache.stats()["hits"] == 0
 
 
 class TestEvictionRaces:
@@ -153,8 +70,7 @@ class TestEvictionRaces:
 
         Every get_or_build must return the value built for *its* key no
         matter how aggressively other keys evict it, and the counters
-        must stay consistent (every probe is a hit, a miss or a
-        coalesced wait that resolves through the loop).
+        must stay consistent (every probe is a hit or a miss).
         """
         cache = PreconditionerCache(capacity=1)
         mats = [_spd(6, seed) for seed in range(10, 14)]

@@ -5,8 +5,9 @@ path it owns: the adversarial small shapes (empty rows/columns, explicit
 zeros, single-row/column, fully empty) all sit under the 256-nnz DIA
 gate and take the numpy backend's ELL view at its smallest, while the
 large structured cases are built to trip, respectively, the exact DIA
-view, the HYB split with a COO remainder, the HYB split with an ELL
-remainder, the one-block ELL view, a multi-bucket ELL view over skewed
+view, the HYB split with a COO remainder, a band whose remainder pads
+well (which takes the ELL view), the one-block ELL view, a multi-bucket
+ELL view over skewed
 rows with empty ones among them, and a multi-bucket view shaped like an
 extended FSAI factor (mostly 5-entry rows, a few long ones, empty
 columns).  A structure probe asserts each case really takes the path it
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.arch.address import ArrayPlacement
 from repro.collection.generators.fd import poisson2d, poisson3d
+from repro.collection.suite import get_case
 from repro.fsai.extended import setup_fsai, setup_fsaie_full
 from repro.fsai.frobenius import compute_g
 from repro.fsai.patterns import fsai_initial_pattern
@@ -96,7 +98,8 @@ def _hyb_ell_remainder(n=400):
     """Tridiagonal band plus one scattered coupling per row.
 
     ~400 off-band entries spread over ~400 distinct diagonals, one per
-    row: enough for the remainder's ELL form (width 1, no padding).
+    row: a remainder that pads well, so the matrix takes the ELL view
+    rather than a HYB split.
     """
     d = np.zeros((n, n))
     i = np.arange(n)
@@ -179,11 +182,10 @@ def test_zoo_exercises_every_format():
     """Structure probe: each case takes the path it was designed for."""
     by_name = dict(ZOO)
     dia = by_name["dia_stencil"].dia_view()
-    assert dia is not None and dia.rem_out is None and dia.rem_ell is None
+    assert dia is not None and dia.rem_out is None
     hyb_coo = by_name["hyb_coo"].dia_view()
     assert hyb_coo is not None and hyb_coo.rem_out is not None
-    hyb_ell = by_name["hyb_ell"].dia_view()
-    assert hyb_ell is not None and hyb_ell.rem_ell is not None
+    assert by_name["hyb_ell"].dia_view() is None
     ell = by_name["ell_uniform"]
     assert ell.dia_view() is None
     (block,) = ell.ell_view().buckets
@@ -306,11 +308,15 @@ def test_fsai_apply_matches_dense(backend_name, case):
 # ELL products are the reference backend's bytes
 # ----------------------------------------------------------------------
 
+#: Quick case 28 (wathen120-syn): a band plus a remainder that pads well
+#: in both directions, so its products take the ELL views.
+CASE_28_A = get_case(28).build()
+
 #: ``(product, case)`` pairs whose numpy view is ELL in that direction.
 ELL_PRODUCTS = [
     (product, name, a)
     for product, dia in (("spmv", "dia_view"), ("spmv_t", "dia_t_view"))
-    for name, a in ZOO
+    for name, a in ZOO + [("case28_A", CASE_28_A)]
     if getattr(a, dia)() is None
 ]
 ELL_TRI_ZOO = [

@@ -1,4 +1,4 @@
-"""A NaN or infinite right-hand side ends in one typed error.
+"""A NaN, infinite or out-of-range right-hand side ends in one typed error.
 
 Without a check, ``pcg`` on ``poisson2d(10)`` with an ``Inf`` in ``b``
 (or in ``x0``) reports ``converged=True`` after 0 iterations with
@@ -8,6 +8,13 @@ back unconverged.  ``pcg`` and ``pcg_multi`` now raise
 :class:`~repro.errors.MatrixFormatError` naming the first non-finite
 entry before any product; serving checks each request at admission, so a
 bad request fails alone through its own future and never joins a block.
+
+A finite ``b`` whose 2-norm leaves float64 did the same: on
+``poisson2d(5)``, ``b = 1e154`` everywhere overflows ``‖r₀‖²`` to inf (the
+stopping threshold turns inf, and ``inf <= inf``) and ``b = 1e-170``
+underflows it to 0, and both came back "converged" after 0 iterations
+with ``x = 0``.  The solvers now refuse such an initial residual, and
+both serving ``submit`` methods such a right-hand side.
 """
 
 import re
@@ -26,6 +33,10 @@ from repro.solvers.cg import pcg, pcg_multi
 VALUES = pytest.mark.parametrize(
     "value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
 )
+#: Finite entries whose sum of squares over- and underflows float64.
+SCALES = pytest.mark.parametrize(
+    "scale", [1e154, 1e-170], ids=["overflow", "underflow"]
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +53,10 @@ def poisoned(n, value, at, k=None):
 
 def raises_at(where):
     return pytest.raises(MatrixFormatError, match=re.escape(f"at {where}"))
+
+
+def out_of_range(name):
+    return pytest.raises(MatrixFormatError, match=re.escape(f"norm of {name} "))
 
 
 @VALUES
@@ -115,3 +130,30 @@ def test_bad_request_never_fails_its_batch_mates(system):
     assert all(r.converged for r in good)
     assert widths == [3]
     assert service.metrics.failed == 0
+
+
+@SCALES
+def test_pcg_rejects_a_norm_out_of_range(scale):
+    a = poisson2d(5)
+    app = setup_fsai(a).application
+    with out_of_range("r0"):
+        pcg(a, np.full(a.n_rows, scale), preconditioner=app)
+    with out_of_range("r0[1]"):
+        pcg_multi(a, np.stack([np.ones(a.n_rows), np.full(a.n_rows, scale)]),
+                  preconditioner=app)
+
+
+@SCALES
+def test_served_norm_out_of_range_fails_alone(scale):
+    a = poisson2d(5)
+    with InProcessClient(window_seconds=0.001) as client:
+        fp = client.register(a)
+        future = client.submit(fp, np.full(a.n_rows, scale))
+        with out_of_range("rhs"):
+            future.result(timeout=30)
+        assert client.solve(fp, np.ones(a.n_rows), rtol=1e-8).converged
+    with MultiProcessClient(1, window_seconds=0.005) as client:
+        fp = client.register(a)
+        with out_of_range("rhs"):
+            client.submit(fp, np.full(a.n_rows, scale))
+        assert client.solve(fp, np.ones(a.n_rows), rtol=1e-8).converged

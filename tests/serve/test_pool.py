@@ -7,9 +7,11 @@ in-flight requests, automatic respawn, factor-seeded recovery, no
 shared-memory leaks.
 """
 
+import multiprocessing
 import os
 import signal
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,9 +23,12 @@ from repro.errors import (
     UnknownOperatorError,
     WorkerCrashedError,
 )
+from repro.fsai import registry
+from repro.fsai.registry import MethodSpec
 from repro.serve import MultiProcessClient, shard_for
 from repro.serve import pool as pool_module
 from repro.serve.pool import _portable_exception
+from repro.solvers.preconditioners import JacobiPreconditioner
 
 
 def _rhs(a, seed=0):
@@ -122,6 +127,31 @@ class TestPoolServing:
             assert snap["solved"] == 1
             assert snap["shm"]["published"] == 1
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="a forked worker is what sees a method registered at run time",
+    )
+    def test_non_fsai_setup_serves_and_stays_in_its_worker(self, monkeypatch):
+        """A caller-registered method whose setup is not an FSAI
+        application still serves; only FSAI factors go to the parent,
+        since only they can seed a replacement."""
+        spec = MethodSpec(
+            "jacobi_pool_test",
+            builder=lambda a: SimpleNamespace(
+                application=JacobiPreconditioner(a)
+            ),
+            selectable=False,
+        )
+        monkeypatch.setitem(registry._REGISTRY, spec.name, spec)
+        a = poisson2d(6)
+        with MultiProcessClient(
+            1, window_seconds=0.002, start_method="fork"
+        ) as client:
+            fp = client.register(a, method=spec.name)
+            future = client.submit(fp, _rhs(a, 2), rtol=1e-8)
+            assert future.result(timeout=30).converged
+            assert client._factors == {}
+
 
 def _refuse(*args, **kwargs):
     raise ValueError("command queue is closed")
@@ -170,17 +200,19 @@ class TestChaosRespawn:
         """The acceptance chaos test: SIGKILL the owning worker mid-flight.
 
         In-flight requests fail with the typed retryable error, the
-        shard respawns, and — because the factor was published to the
-        store after the first solve — the respawned worker serves cache
-        hits without re-running FSAI setup.
+        shard respawns, and — because the worker sent its factor to the
+        parent after the first solve — the respawned worker is seeded
+        with it and serves cache hits without re-running FSAI setup.
         """
         a = poisson2d(10)
         with MultiProcessClient(2, window_seconds=0.005) as client:
             fp = client.register(a)
             shard = client.shard_of(fp)
-            # Warm solve: builds the factor and publishes it.
+            # Warm solve: builds the factor and sends it to the parent.
             assert client.solve(fp, _rhs(a, 0), rtol=1e-8).converged
-            assert _wait_until(lambda: len(client.store.factors()) == 1)
+            assert _wait_until(lambda: len(client._factors) == 1)
+            (key,) = client._factors
+            assert key[0] == fp
 
             victim = client._workers[shard].process
             futures = [
@@ -212,6 +244,7 @@ class TestChaosRespawn:
             # ...from the seeded factor: the respawned incarnation never
             # misses (the only miss happened before the kill).
             assert metrics.cache_hits >= 3
+            assert metrics.cache_misses == 0
             snap = client.snapshot()
             assert snap["respawns"] == 1
             assert snap["shards"][str(shard)]["respawns"] == 1

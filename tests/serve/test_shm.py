@@ -1,22 +1,18 @@
-"""SharedOperatorStore: publish/attach lifecycle, refcounts, eviction.
+"""SharedOperatorStore: publish/attach lifecycle, naming, teardown.
 
 Single-process coverage of the shared-memory manifest the worker pool
-builds on — cross-process behaviour (worker attach, factor adoption
+builds on — cross-process behaviour (worker attach, factor seeding
 after a kill) lives in ``test_pool.py``.
 """
+
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.collection.generators.fd import poisson2d
-from repro.fsai.cache import config_key
 from repro.fsai.extended import setup_fsai
-from repro.serve.shm import (
-    AttachedFactor,
-    AttachedOperator,
-    SharedOperatorStore,
-    publish_factor_segment,
-)
+from repro.serve.shm import AttachedOperator, SharedOperatorStore
 
 
 @pytest.fixture()
@@ -33,15 +29,15 @@ class TestPublish:
         assert spec.fingerprint == a.fingerprint()
         assert spec.n_rows == a.n_rows
         assert spec.nnz == a.nnz
-        assert spec.generation == 1
         again = store.publish(a, method="fsai", config={})
         assert again is spec  # exactly-once: same manifest entry
         assert len(store) == 1
 
     def test_segment_name_fits_posix_limit(self, store):
-        spec = store.publish(poisson2d(6), method="fsai", config={})
+        a = poisson2d(6)
+        spec = store.publish(a, method="fsai", config={})
         assert len(spec.segment) <= 31
-        assert spec.segment.startswith(store.prefix)
+        assert spec.segment == f"{store.prefix}-{a.fingerprint()[:12]}"
 
     def test_attached_view_is_zero_copy_and_exact(self, store):
         a = poisson2d(7)
@@ -52,8 +48,7 @@ class TestPublish:
             assert m.fingerprint() == a.fingerprint()
             np.testing.assert_array_equal(m.data, a.data)
             np.testing.assert_array_equal(m.indices, a.indices)
-            entry = att.entry
-            assert entry.method == "fsai"
+            assert att.spec.method == "fsai"
         finally:
             att.close()
 
@@ -68,98 +63,22 @@ class TestPublish:
             att.close()
 
 
-class TestRefcountsAndEviction:
-    def test_acquire_release_tracks_refcount(self, store):
-        a = poisson2d(6)
-        spec = store.publish(a, method="fsai", config={})
-        fp = spec.fingerprint
-        assert store.refcount(fp) == 0
-        store.acquire(fp)
-        store.acquire(fp)
-        assert store.refcount(fp) == 2
-        store.release(fp)
-        assert store.refcount(fp) == 1
-        store.release(fp)
-        assert store.refcount(fp) == 0
-
-    def test_evict_refuses_while_attached(self, store):
-        a = poisson2d(6)
-        spec = store.publish(a, method="fsai", config={})
-        fp = spec.fingerprint
-        store.acquire(fp)
-        assert store.evict(fp) is False  # live attachment: deferred
-        assert fp in store
-        # Last release performs the deferred unlink.
-        store.release(fp)
-        assert fp not in store
-
-    def test_evict_without_attachments_unlinks_immediately(self, store):
-        spec = store.publish(poisson2d(6), method="fsai", config={})
-        assert store.evict(spec.fingerprint) is True
-        assert spec.fingerprint not in store
-        assert len(store) == 0
-
-    def test_republish_after_evict_bumps_generation(self, store):
-        a = poisson2d(6)
-        first = store.publish(a, method="fsai", config={})
-        store.evict(first.fingerprint)
-        second = store.publish(a, method="fsai", config={})
-        assert second.generation == first.generation + 1
-        assert second.segment != first.segment
-
-
 class TestFactors:
-    def _factor_spec(self, store, a):
-        setup = setup_fsai(a)
-        key = (a.fingerprint(), "fsai", config_key({}))
-        return publish_factor_segment(
-            key, setup.application.g, prefix=store.prefix
-        ), setup
-
-    def test_adopt_factor_first_wins(self, store):
-        a = poisson2d(6)
-        spec, _ = self._factor_spec(store, a)
-        assert store.adopt_factor(spec) is True
-        dup, _ = self._factor_spec(store, a)
-        assert store.adopt_factor(dup) is False  # duplicate destroyed
-        assert [f.segment for f in store.factors()] == [spec.segment]
-        assert store.factors_for(a.fingerprint()) == [spec]
-
-    def test_attached_factor_seeds_a_working_application(self, store):
-        a = poisson2d(6)
-        spec, setup = self._factor_spec(store, a)
-        store.adopt_factor(spec)
-        att = AttachedFactor(spec)
-        try:
-            r = np.random.default_rng(0).standard_normal(a.n_rows)
-            np.testing.assert_allclose(
-                att.setup.application.apply(r.copy()),
-                setup.application.apply(r.copy()),
-                rtol=0, atol=0,
-            )
-            assert att.setup.seeded
-        finally:
-            att.close()
+    """Teardown and stats (the store holds operators only: a pool's
+    factors travel over its queues, see ``test_pool.py``)."""
 
     def test_close_unlinks_everything(self):
         store = SharedOperatorStore()
-        a = poisson2d(6)
-        store.publish(a, method="fsai", config={})
-        spec, _ = TestFactors()._factor_spec(store, a)
-        store.adopt_factor(spec)
+        specs = [
+            store.publish(poisson2d(n), method="fsai", config={})
+            for n in (5, 6)
+        ]
         store.close()
-        from multiprocessing import shared_memory
-
-        for name in (spec.segment,):
+        assert store.stats()["live_segments"] == 0
+        for spec in specs:
             with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+                shared_memory.SharedMemory(name=spec.segment)
 
     def test_stats_shape(self, store):
         store.publish(poisson2d(6), method="fsai", config={})
-        stats = store.stats()
-        assert stats["published"] == 1
-        assert stats["live_segments"] == 1
-        assert stats["attachments"] == 0
-        assert set(stats) >= {
-            "published", "evicted", "deferred_evictions", "factor_segments",
-        }
+        assert store.stats() == {"published": 1, "live_segments": 1}
